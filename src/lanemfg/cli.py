@@ -69,7 +69,7 @@ def run(scn: Scenario, mode: str, out_dir) -> dict:
     if mode == "mfg":
         sol = mfg.solve(
             rho0, g, tg, scn.flux, scn.cost, sc.control_set(scn), sc.target_set(scn),
-            drift=scn.drift, options=scn.solver,
+            options=scn.solver,
         )
         rho_traj = sol.rho_traj
         converged = sol.converged
@@ -78,7 +78,7 @@ def run(scn: Scenario, mode: str, out_dir) -> dict:
         outflow_cum, clamped_cum = sol.outflow_cum, sol.clamped_cum
         clamp_flagged = sol.clamp_flagged
     else:
-        run_ = baseline.uncontrolled_solve(rho0, g, tg, scn.flux, sc.baseline_params(scn))
+        run_ = baseline.uncontrolled_solve(rho0, g, tg, scn.flux, scn.exchange)
         sol = None
         rho_traj = run_.rho_traj
         converged = True
@@ -127,6 +127,14 @@ def run(scn: Scenario, mode: str, out_dir) -> dict:
     return summary
 
 
+def _number_or_text(text: str):
+    """`text` as a float, or unchanged for the scenario schema to report."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="lanemfg",
@@ -142,7 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--tol-policy", type=float)
     ap.add_argument("--tol-value", type=float)
     ap.add_argument("--damping", type=float)
-    ap.add_argument("--drift", choices=mfg.DRIFT_MODES)
     return ap
 
 
@@ -154,29 +161,15 @@ def main(argv=None) -> int:
             scn = sc.preset(args.preset)
         else:
             scn = sc.parse_scenario(args.config)
-        overrides = {
-            ("solver", "max_outer_iters"): args.max_outer_iters,
-            ("solver", "tol_policy"): args.tol_policy,
-            ("solver", "tol_value"): args.tol_value,
-            ("solver", "damping"): args.damping,
-            ("drift",): args.drift,
-        }
         data = sc.scenario_to_dict(scn)
-        for path, value in overrides.items():
-            if value is None:
-                continue
-            node = data
-            for key in path[:-1]:
-                node = node[key]
-            node[path[-1]] = value
+        for key in ("max_outer_iters", "tol_policy", "tol_value", "damping"):
+            if getattr(args, key) is not None:
+                data["solver"][key] = getattr(args, key)
         if args.snapshots is not None:
-            data["snapshot_times"] = [float(t) for t in args.snapshots.split(",")]
+            data["snapshot_times"] = [_number_or_text(t) for t in args.snapshots.split(",")]
         scn = sc.scenario_from_dict(data)
     except ScenarioError as exc:
         print(exc, file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"invalid arguments: {exc}", file=sys.stderr)
         return 1
 
     try:

@@ -27,7 +27,6 @@ __all__ = ["SolverOptions", "MfgSolution", "Iterate", "initialize_policies", "re
 
 logger = logging.getLogger(__name__)
 
-DRIFT_MODES = ("optimal-control", "literal-gradient")
 MIXING_MODES = ("constant", "harmonic")
 
 
@@ -84,7 +83,7 @@ class MfgSolution:
 
 
 def _supply_caps(rho, p, reach):
-    """Speeds admitted by the nearby cells, as (leftward, rightward).
+    """Rightward speeds admitted by the cells downstream.
 
     `reach` is the number of cells a foot can traverse in one step; the
     admitted speed is the most restrictive over that window, since the cap
@@ -99,39 +98,26 @@ def _supply_caps(rho, p, reach):
     rbar = critical_density(p)
     admit = np.where(rho <= rbar, np.inf, np.maximum(f, 0.0))
     sup_r = np.full_like(f, np.inf)
-    sup_l = np.full_like(f, np.inf)
     for off in range(1, reach + 1):
         sup_r[:, :-off] = np.minimum(sup_r[:, :-off], admit[:, off:])
-        sup_l[:, off:] = np.minimum(sup_l[:, off:], admit[:, :-off])
-    return sup_l, sup_r
+    return sup_r
 
 
-def _velocity_at(drift, controls, p, u_traj, values, g, dt):
-    """Per-step drift builder for the forward sweep."""
+def _velocity_at(controls, p, u_traj, g, dt):
+    """Per-step drift of the forward sweep: the policy's speed u*f(rho), capped by supply."""
     reach = max(1, int(np.ceil(dt * max_flux(p) / g.dx)))
-    if drift == "optimal-control":
-        u_levels = controls.values
+    u_levels = controls.values
 
-        def velocity(k, rho):
-            # negative f on an over-jammed cell is kept: it relaxes the
-            # excess backward instead of freezing it
-            _, sup_r = _supply_caps(rho, p, reach)
-            return u_levels[u_traj[k]] * np.minimum(flux_eval(rho, p), sup_r)
+    def velocity(k, rho):
+        # negative f on an over-jammed cell is kept: it relaxes the
+        # excess backward instead of freezing it
+        return u_levels[u_traj[k]] * np.minimum(flux_eval(rho, p), _supply_caps(rho, p, reach))
 
-    elif drift == "literal-gradient":
-
-        def velocity(k, rho):
-            vx = np.gradient(values[k], g.dx, axis=1)
-            sup_l, sup_r = _supply_caps(rho, p, reach)
-            return np.clip(-vx * flux_eval(rho, p), -sup_l, sup_r)
-
-    else:
-        raise ValueError(f"unknown drift mode {drift!r}; expected one of {DRIFT_MODES}")
     return velocity
 
 
-def _forward(rho0, g, tg, p, controls, u_traj, q_traj, values, drift) -> transport.TransportRun:
-    velocity = _velocity_at(drift, controls, p, u_traj, values, g, tg.dt)
+def _forward(rho0, g, tg, p, controls, u_traj, q_traj) -> transport.TransportRun:
+    velocity = _velocity_at(controls, p, u_traj, g, tg.dt)
 
     def source(k, rho):
         return transport.mfg_source(rho, q_traj[k], p)
@@ -157,7 +143,7 @@ def residuals(prev: Iterate, nxt: Iterate, g: SpatialGrid, tg: TimeGrid):
 
 
 def solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams, c: CostParams,
-          controls: hjb.ControlSet, tgt: TargetSet, drift: str = "optimal-control",
+          controls: hjb.ControlSet, tgt: TargetSet,
           options: SolverOptions | None = None) -> MfgSolution:
     """Solve the coupled system by policy iteration.
 
@@ -165,8 +151,6 @@ def solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams, c: CostParams,
     solution, not raised.
     """
     opts = options or SolverOptions()
-    if drift not in DRIFT_MODES:
-        raise ValueError(f"unknown drift mode {drift!r}; expected one of {DRIFT_MODES}")
     tol_value = opts.tol_value if opts.tol_value is not None else 1e-6 * g.width
     if tg.dt * p.a > 1.0:
         logger.warning("dt*a = %.3g > 1: positivity clamp may engage", tg.dt * p.a)
@@ -180,8 +164,7 @@ def solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams, c: CostParams,
     converged = False
     iterations = 0
     for it in range(1, opts.max_outer_iters + 1):
-        run = _forward(rho0, g, tg, p, controls, current.u_idx, current.q_target,
-                       current.values, drift)
+        run = _forward(rho0, g, tg, p, controls, current.u_idx, current.q_target)
         if it == 1:
             rho_mix = run.rho_traj
         elif opts.mixing == "harmonic":
@@ -202,8 +185,7 @@ def solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams, c: CostParams,
     if not converged:
         logger.warning("policy iteration did not converge within %d iterations", iterations)
 
-    final = _forward(rho0, g, tg, p, controls, current.u_idx, current.q_target,
-                     current.values, drift)
+    final = _forward(rho0, g, tg, p, controls, current.u_idx, current.q_target)
     return MfgSolution(
         rho_traj=final.rho_traj,
         value_traj=current.values,

@@ -1,23 +1,30 @@
 """Scenario files: strict JSON schema, presets, and problem assembly.
 
-A scenario is one JSON object whose keys mirror the Scenario fields.
-Unknown keys are rejected and validation reports every violation, not
-just the first. The preset names `paper-sec6` and `paper-sec6-coarse`
-expand to the built-in 3-lane experiment at full and reduced resolution.
+A scenario is one JSON object described by the field table `FIELDS`:
+each entry gives a dotted key path, a coercer and a default (or
+REQUIRED). Coercers record problems instead of raising, one pass then
+checks the rules that span fields, and validation reports every
+violation, not just the first. Unknown keys are rejected, and a key whose
+value is null counts as absent. The preset names `paper-sec6` and
+`paper-sec6-coarse` expand to the built-in 3-lane experiment at full and
+reduced resolution.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import reprlib
 from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .baseline import BaselineParams
 from .grid import SpatialGrid, TimeGrid, build_uniform, project_initial
 from .hjb import ControlSet
-from .mfg import DRIFT_MODES, SolverOptions
+from .mfg import MIXING_MODES, SolverOptions
 from .model import CostParams, FluxParams, TargetSet
 
 __all__ = [
@@ -36,7 +43,6 @@ __all__ = [
     "time_grid",
     "control_set",
     "target_set",
-    "baseline_params",
 ]
 
 DENSITY_PRESETS = ("paper-sec6",)
@@ -70,11 +76,9 @@ class Scenario:
     control_levels: tuple[float, ...]
     target: tuple[tuple[float, int], ...]
     initial_density: InitialDensity
-    drift: str
     solver: SolverOptions
     snapshot_times: tuple[float, ...]
-    exchange_t_left: tuple[float, ...]
-    exchange_t_right: tuple[float, ...]
+    exchange: BaselineParams
 
     @property
     def dx(self) -> float:
@@ -83,6 +87,120 @@ class Scenario:
     @property
     def dt(self) -> float:
         return self.horizon / self.step_count
+
+
+# ---- coercers: (raw value, path, problems) -> value, or _BAD after recording a problem
+
+_BAD = object()
+REQUIRED = object()
+Coercer = Callable[[Any, str, list], Any]
+
+
+def _num(what: str = "a finite number", test=None, integer: bool = False) -> Coercer:
+    """A finite number (an int if `integer`, else a float) passing `test`; never a bool."""
+
+    def coerce(v, path, problems):
+        x = None
+        if not isinstance(v, bool) and isinstance(v, int if integer else (int, float)):
+            try:
+                x = v if integer else float(v)
+            except OverflowError:  # an int beyond the float range
+                pass
+        if x is None or not (integer or math.isfinite(x)) or (test is not None and not test(x)):
+            problems.append(f"{path}: expected {what}, got {reprlib.repr(v)}")
+            return _BAD
+        return x
+
+    return coerce
+
+
+def _count(least: int) -> Coercer:
+    return _num(f"an integer >= {least}", lambda n: n >= least, integer=True)
+
+
+def _choice(options) -> Coercer:
+    def coerce(v, path, problems):
+        if isinstance(v, str) and v in options:
+            return v
+        problems.append(f"{path}: {reprlib.repr(v)} not one of {list(options)}")
+        return _BAD
+
+    return coerce
+
+
+def _seq(what: str, each, least: int = 0) -> Coercer:
+    """A list coerced entry by entry into a tuple.
+
+    `each` is the coercer of every entry, or a tuple of coercers for a row
+    of exactly that many entries.
+    """
+    row = isinstance(each, tuple)
+
+    def coerce(v, path, problems):
+        if not isinstance(v, (list, tuple)) or len(v) < least or (row and len(v) != len(each)):
+            problems.append(f"{path}: expected {what}, got {reprlib.repr(v)}")
+            return _BAD
+        out = tuple((each[i] if row else each)(x, f"{path}[{i}]", problems)
+                    for i, x in enumerate(v))
+        return _BAD if any(x is _BAD for x in out) else out
+
+    return coerce
+
+
+_real = _num()
+_positive = _num("a finite positive number", lambda x: x > 0)
+_nonnegative = _num("a finite nonnegative number", lambda x: x >= 0)
+
+
+class Field(NamedTuple):
+    """One scenario key: a dotted path ("a.b" is key b of object a), its coercer and default.
+
+    A callable default is computed from the other fields once they are valid.
+    """
+
+    key: str
+    coerce: Coercer
+    default: Any = REQUIRED
+
+
+FIELDS = (
+    Field("lanes", _count(1)),
+    Field("domain", _seq("[x_lo, x_hi]", (_real, _real))),
+    Field("horizon", _positive),
+    Field("node_count", _count(2)),
+    Field("step_count", _count(1)),
+    Field("flux.a", _positive),
+    Field("flux.b", _positive),
+    Field("flux.rho_max", _positive),
+    Field("cost.kappa", _positive),
+    Field("cost.epsilon", _positive),
+    Field("control_levels", _seq("a list of at least two numbers", _real, least=2)),
+    Field("target", _seq("a non-empty list of [position, lane] pairs",
+                         _seq("[position, lane]", (_real, _count(1))), least=1)),
+    Field("initial_density.preset", _choice(DENSITY_PRESETS), None),
+    Field("initial_density.samples", _seq(
+        "one sample table per lane",
+        _seq("a non-empty list of [x, value] pairs", _seq("[x, value]", (_real, _nonnegative)),
+             least=1)), None),
+    # accepted for files that name it; optimal control is the only drift
+    Field("drift", _choice(("optimal-control",)), "optimal-control"),
+    Field("solver.max_outer_iters", _count(1), SolverOptions.max_outer_iters),
+    Field("solver.tol_policy", _nonnegative, SolverOptions.tol_policy),
+    Field("solver.tol_value", _nonnegative, SolverOptions.tol_value),
+    Field("solver.damping", _num("a finite number in (0, 1]", lambda x: 0 < x <= 1),
+          SolverOptions.damping),
+    Field("solver.mixing", _choice(MIXING_MODES), SolverOptions.mixing),
+    Field("snapshot_times", _seq("a list of times", _real),
+          lambda v: (0.0, v["horizon"] / 2.0, v["horizon"])),
+    Field("exchange.t_left", _seq("a list of rates", _positive), lambda v: (1.0,) * v["lanes"]),
+    Field("exchange.t_right", _seq("a list of rates", _positive), lambda v: (1.0,) * v["lanes"]),
+)
+
+# The object types that hold the dotted fields, and the keys read but not stored.
+_GROUPS = {"flux": FluxParams, "cost": CostParams, "initial_density": InitialDensity,
+           "solver": SolverOptions, "exchange": BaselineParams}
+_INPUT_ONLY = ("drift",)
+_KEYS = {f.key for f in FIELDS} | set(_GROUPS)
 
 
 def _sec6_dict(node_count: int, step_count: int) -> dict:
@@ -97,7 +215,6 @@ def _sec6_dict(node_count: int, step_count: int) -> dict:
         "control_levels": [round(0.1 * i, 1) for i in range(11)],
         "target": [[25.0, 1], [25.0, 2], [25.0, 3]],
         "initial_density": {"preset": "paper-sec6"},
-        "drift": "optimal-control",
         # harmonic mixing: constant damping dithers on this scenario
         "solver": {"max_outer_iters": 50, "tol_policy": 1e-3, "tol_value": 2.5e-5,
                    "damping": 0.5, "mixing": "harmonic"},
@@ -117,287 +234,129 @@ def preset(name: str) -> Scenario:
     return scenario_from_dict(PRESETS[name]())
 
 
-def _check_keys(d, allowed, path, errors) -> bool:
-    if not isinstance(d, dict):
-        errors.append(f"{path}: expected an object")
-        return False
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        errors.append(f"{path}: unknown key(s) {unknown}")
-    return True
+def _read_fields(data: dict, problems: list) -> dict:
+    """Each field coerced, or _BAD; absent fields get their default, or None if it is derived."""
+    objects = {"": data, **{g: {} if data.get(g) is None else data[g] for g in _GROUPS}}
+    for name, node in objects.items():
+        where = f"scenario.{name}" if name else "scenario"
+        if not isinstance(node, dict):
+            problems.append(f"{where}: expected an object")
+            continue
+        unknown = [k for k in node if (f"{name}.{k}" if name else k) not in _KEYS]
+        if unknown:
+            problems.append(f"{where}: unknown key(s) {sorted(unknown, key=str)}")
+
+    values = {}
+    for f in FIELDS:
+        parent, _, key = f.key.rpartition(".")
+        node = objects[parent]
+        if not isinstance(node, dict):
+            values[f.key] = _BAD
+        elif node.get(key) is not None:
+            values[f.key] = f.coerce(node[key], f"scenario.{f.key}", problems)
+        elif f.default is REQUIRED:
+            problems.append(f"scenario.{f.key}: missing")
+            values[f.key] = _BAD
+        else:
+            values[f.key] = None if callable(f.default) else f.default
+    return values
 
 
-def _number(d, key, path, errors, default=None, required=True):
-    if key not in d:
-        if required:
-            errors.append(f"{path}.{key}: missing")
-        return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        errors.append(f"{path}.{key}: expected a finite number, got {v!r}")
-        return default
-    return float(v)
+def _check_across(v: dict, problems: list) -> None:
+    """The rules that span fields, each stated once.
 
+    A rule that reads a rejected (_BAD) field is skipped, since that
+    field's problem is already on the list; absent fields are None.
+    """
+    def ok(*keys):
+        return all(v[k] is not _BAD for k in keys)
 
-def _integer(d, key, path, errors):
-    if key not in d:
-        errors.append(f"{path}.{key}: missing")
-        return None
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        errors.append(f"{path}.{key}: expected an integer, got {v!r}")
-        return None
-    return v
+    lanes, horizon = v["lanes"], v["horizon"]
+    if ok("domain"):
+        x_lo, x_hi = v["domain"]
+        if not x_lo < x_hi:
+            problems.append(f"scenario.domain: empty interval [{x_lo}, {x_hi}]")
+    if ok("target"):
+        for j, (pos, lane) in enumerate(v["target"]):
+            if ok("domain") and not x_lo <= pos <= x_hi:
+                problems.append(f"scenario.target[{j}]: position {pos} outside domain "
+                                f"[{x_lo}, {x_hi}]")
+            if ok("lanes") and lane > lanes:
+                problems.append(f"scenario.target[{j}]: lane {lane} outside 1..{lanes}")
+    if ok("horizon", "snapshot_times") and v["snapshot_times"] is not None:
+        for t in v["snapshot_times"]:
+            if not 0.0 <= t <= horizon:
+                problems.append(f"scenario.snapshot_times: {t} outside [0, {horizon}]")
+    for key in ("initial_density.samples", "exchange.t_left", "exchange.t_right"):
+        if ok("lanes", key) and v[key] is not None and len(v[key]) != lanes:
+            problems.append(f"scenario.{key}: expected one entry per lane ({lanes}), "
+                            f"got {len(v[key])}")
+
+    name, tables = v["initial_density.preset"], v["initial_density.samples"]
+    if (name is None) == (tables is None):
+        problems.append("scenario.initial_density: give exactly one of 'preset' or 'samples'")
+    elif name == "paper-sec6" and ok("lanes") and lanes != 3:
+        problems.append(f"scenario.initial_density.preset: 'paper-sec6' requires 3 lanes, "
+                        f"scenario has {lanes}")
+    if ok("initial_density.samples") and tables is not None:
+        for i, table in enumerate(tables):
+            if any(b[0] <= a[0] for a, b in zip(table, table[1:])):
+                problems.append(f"scenario.initial_density.samples[{i}]: x coordinates must "
+                                "be strictly increasing")
+    if ok("control_levels"):
+        levels = v["control_levels"]
+        if levels[0] != 0.0 or levels[-1] != 1.0:
+            problems.append("scenario.control_levels: must contain 0 first and 1 last")
+        if any(b <= a for a, b in zip(levels, levels[1:])):
+            problems.append("scenario.control_levels: must be strictly increasing")
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Validate a raw scenario dict; raises ScenarioError listing every problem."""
-    errors: list[str] = []
-    top_keys = (
-        "lanes", "domain", "horizon", "node_count", "step_count", "flux", "cost",
-        "control_levels", "target", "initial_density", "drift", "solver",
-        "snapshot_times", "exchange", "per_lane_flux",
-    )
-    if not _check_keys(data, top_keys, "scenario", errors):
-        raise ScenarioError(errors)
+    if not isinstance(data, dict):
+        raise ScenarioError(["scenario: expected an object"])
+    problems: list[str] = []
+    values = _read_fields(data, problems)
+    _check_across(values, problems)
+    if problems:
+        raise ScenarioError(problems)
 
-    lanes = _integer(data, "lanes", "scenario", errors)
-    if lanes is not None and lanes < 1:
-        errors.append(f"scenario.lanes: must be at least 1, got {lanes}")
-
-    domain = data.get("domain")
-    x_lo = x_hi = None
-    if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
-        errors.append("scenario.domain: expected [x_lo, x_hi]")
-    else:
-        x_lo, x_hi = float(domain[0]), float(domain[1])
-        if not x_lo < x_hi:
-            errors.append(f"scenario.domain: empty interval [{x_lo}, {x_hi}]")
-
-    horizon = _number(data, "horizon", "scenario", errors)
-    if horizon is not None and horizon <= 0:
-        errors.append(f"scenario.horizon: must be positive, got {horizon}")
-    node_count = _integer(data, "node_count", "scenario", errors)
-    if node_count is not None and node_count < 2:
-        errors.append(f"scenario.node_count: must be at least 2, got {node_count}")
-    step_count = _integer(data, "step_count", "scenario", errors)
-    if step_count is not None and step_count < 1:
-        errors.append(f"scenario.step_count: must be at least 1, got {step_count}")
-
-    flux = data.get("flux")
-    a = b = rho_max = None
-    if flux is None:
-        errors.append("scenario.flux: missing")
-    elif _check_keys(flux, ("a", "b", "rho_max"), "scenario.flux", errors):
-        a = _number(flux, "a", "scenario.flux", errors)
-        b = _number(flux, "b", "scenario.flux", errors)
-        rho_max = _number(flux, "rho_max", "scenario.flux", errors)
-        for name, v in (("a", a), ("b", b), ("rho_max", rho_max)):
-            if v is not None and v <= 0:
-                errors.append(f"scenario.flux.{name}: must be positive, got {v}")
-
-    cost = data.get("cost")
-    kappa = epsilon = None
-    if cost is None:
-        errors.append("scenario.cost: missing")
-    elif _check_keys(cost, ("kappa", "epsilon"), "scenario.cost", errors):
-        kappa = _number(cost, "kappa", "scenario.cost", errors)
-        epsilon = _number(cost, "epsilon", "scenario.cost", errors)
-        if kappa is not None and kappa <= 0:
-            errors.append(f"scenario.cost.kappa: must be strictly positive, got {kappa}")
-        if epsilon is not None and epsilon <= 0:
-            errors.append(f"scenario.cost.epsilon: must be positive, got {epsilon}")
-
-    levels = data.get("control_levels")
-    if not (isinstance(levels, (list, tuple)) and len(levels) >= 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in levels)):
-        errors.append("scenario.control_levels: expected a list of at least two numbers")
-        levels = None
-    else:
-        levels = tuple(float(v) for v in levels)
-        if levels[0] != 0.0 or levels[-1] != 1.0:
-            errors.append("scenario.control_levels: must contain 0 first and 1 last")
-        if any(y <= x for x, y in zip(levels, levels[1:])):
-            errors.append("scenario.control_levels: must be strictly increasing")
-
-    target_raw = data.get("target")
-    target: list[tuple[float, int]] = []
-    if not (isinstance(target_raw, (list, tuple)) and len(target_raw) >= 1):
-        errors.append("scenario.target: expected a non-empty list of [position, lane] pairs")
-    else:
-        for j, pt in enumerate(target_raw):
-            if not (isinstance(pt, (list, tuple)) and len(pt) == 2):
-                errors.append(f"scenario.target[{j}]: expected [position, lane]")
-                continue
-            pos, ln = float(pt[0]), pt[1]
-            if x_lo is not None and not (x_lo <= pos <= x_hi):
-                errors.append(f"scenario.target[{j}]: position {pos} outside domain [{x_lo}, {x_hi}]")
-            if not isinstance(ln, int) or (lanes is not None and not 1 <= ln <= lanes):
-                errors.append(f"scenario.target[{j}]: lane {ln!r} outside 1..{lanes}")
-            target.append((pos, ln))
-
-    density = _parse_density(data.get("initial_density"), lanes, errors)
-
-    drift = data.get("drift", "optimal-control")
-    if drift not in DRIFT_MODES:
-        errors.append(f"scenario.drift: {drift!r} not one of {list(DRIFT_MODES)}")
-
-    solver_raw = data.get("solver", {})
-    solver = None
-    if _check_keys(solver_raw, ("max_outer_iters", "tol_policy", "tol_value", "damping", "mixing"),
-                   "scenario.solver", errors):
-        max_iters = solver_raw.get("max_outer_iters", 50)
-        tol_policy = _number(solver_raw, "tol_policy", "scenario.solver", errors,
-                             default=1e-3, required=False)
-        default_tol_value = 1e-6 * (x_hi - x_lo) if x_lo is not None else None
-        tol_value = _number(solver_raw, "tol_value", "scenario.solver", errors,
-                            default=default_tol_value, required=False)
-        damping = _number(solver_raw, "damping", "scenario.solver", errors,
-                          default=0.5, required=False)
-        mixing = solver_raw.get("mixing", "constant")
-        try:
-            solver = SolverOptions(max_outer_iters=max_iters, tol_policy=tol_policy,
-                                   tol_value=tol_value, damping=damping, mixing=mixing)
-        except (ValueError, TypeError) as exc:
-            errors.append(f"scenario.solver: {exc}")
-
-    snaps_raw = data.get("snapshot_times")
-    snaps: tuple[float, ...] = ()
-    if snaps_raw is None:
-        if horizon is not None:
-            snaps = (0.0, horizon / 2.0, horizon)
-    elif not isinstance(snaps_raw, (list, tuple)):
-        errors.append("scenario.snapshot_times: expected a list of times")
-    else:
-        snaps = tuple(float(t) for t in snaps_raw)
-        for t in snaps:
-            if horizon is not None and not 0.0 <= t <= horizon:
-                errors.append(f"scenario.snapshot_times: {t} outside [0, {horizon}]")
-
-    exchange = data.get("exchange")
-    t_left = t_right = tuple(1.0 for _ in range(lanes or 0))
-    if exchange is not None and _check_keys(exchange, ("t_left", "t_right"), "scenario.exchange", errors):
-        for name in ("t_left", "t_right"):
-            rates = exchange.get(name)
-            if rates is None:
-                continue
-            if not (isinstance(rates, (list, tuple)) and (lanes is None or len(rates) == lanes)):
-                errors.append(f"scenario.exchange.{name}: expected one rate per lane ({lanes})")
-                continue
-            vals = tuple(float(r) for r in rates)
-            if any(r <= 0 for r in vals):
-                errors.append(f"scenario.exchange.{name}: rates must be positive")
-            if name == "t_left":
-                t_left = vals
-            else:
-                t_right = vals
-
-    if data.get("per_lane_flux") is not None:
-        errors.append("scenario.per_lane_flux: reserved for future use; must be null")
-
-    if errors:
-        raise ScenarioError(errors)
-
-    return Scenario(
-        lanes=lanes,
-        domain=(x_lo, x_hi),
-        horizon=horizon,
-        node_count=node_count,
-        step_count=step_count,
-        flux=FluxParams(a=a, b=b, rho_max=rho_max),
-        cost=CostParams(kappa=kappa, epsilon=epsilon),
-        control_levels=levels,
-        target=tuple(target),
-        initial_density=density,
-        drift=drift,
-        solver=solver,
-        snapshot_times=snaps,
-        exchange_t_left=t_left,
-        exchange_t_right=t_right,
-    )
+    for f in FIELDS:
+        if values[f.key] is None and callable(f.default):
+            values[f.key] = f.default(values)
+    kwargs = _nest((f.key, values[f.key]) for f in FIELDS if f.key not in _INPUT_ONLY)
+    return Scenario(**{k: _GROUPS[k](**v) if k in _GROUPS else v for k, v in kwargs.items()})
 
 
-def _parse_density(raw, lanes, errors) -> InitialDensity | None:
-    path = "scenario.initial_density"
-    if raw is None:
-        errors.append(f"{path}: missing")
-        return None
-    if not _check_keys(raw, ("preset", "samples"), path, errors):
-        return None
-    has_preset = raw.get("preset") is not None
-    has_samples = raw.get("samples") is not None
-    if has_preset == has_samples:
-        errors.append(f"{path}: give exactly one of 'preset' or 'samples'")
-        return None
-    if has_preset:
-        name = raw["preset"]
-        if name not in DENSITY_PRESETS:
-            errors.append(f"{path}.preset: unknown preset {name!r}; available: {list(DENSITY_PRESETS)}")
-            return None
-        if name == "paper-sec6" and lanes is not None and lanes != 3:
-            errors.append(f"{path}.preset: 'paper-sec6' requires 3 lanes, scenario has {lanes}")
-        return InitialDensity(preset=name)
-    tables = raw["samples"]
-    if not (isinstance(tables, (list, tuple)) and (lanes is None or len(tables) == lanes)):
-        errors.append(f"{path}.samples: expected one sample table per lane ({lanes})")
-        return None
-    parsed = []
-    for li, table in enumerate(tables):
-        rows = []
-        ok = isinstance(table, (list, tuple)) and len(table) >= 1
-        if ok:
-            for row in table:
-                if not (isinstance(row, (list, tuple)) and len(row) == 2):
-                    ok = False
-                    break
-                rows.append((float(row[0]), float(row[1])))
-        if not ok:
-            errors.append(f"{path}.samples[{li}]: expected a list of [x, value] pairs")
-            continue
-        if any(y[0] <= x[0] for x, y in zip(rows, rows[1:])):
-            errors.append(f"{path}.samples[{li}]: x coordinates must be strictly increasing")
-        if any(v < 0 or not math.isfinite(v) for _, v in rows):
-            errors.append(f"{path}.samples[{li}]: densities must be finite and nonnegative")
-        parsed.append(tuple(rows))
-    return InitialDensity(samples=tuple(parsed))
+def _nest(items) -> dict:
+    """(dotted key, value) pairs as a nested dict, in order."""
+    out: dict = {}
+    for key, value in items:
+        parent, _, name = key.rpartition(".")
+        (out.setdefault(parent, {}) if parent else out)[name] = value
+    return out
+
+
+def _plain(value):
+    """Tuples, at any depth, as JSON lists."""
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    density: dict = {}
-    if s.initial_density.preset is not None:
-        density["preset"] = s.initial_density.preset
-    else:
-        density["samples"] = [[[x, v] for x, v in lane] for lane in s.initial_density.samples]
-    return {
-        "lanes": s.lanes,
-        "domain": list(s.domain),
-        "horizon": s.horizon,
-        "node_count": s.node_count,
-        "step_count": s.step_count,
-        "flux": {"a": s.flux.a, "b": s.flux.b, "rho_max": s.flux.rho_max},
-        "cost": {"kappa": s.cost.kappa, "epsilon": s.cost.epsilon},
-        "control_levels": list(s.control_levels),
-        "target": [[pos, lane] for pos, lane in s.target],
-        "initial_density": density,
-        "drift": s.drift,
-        "solver": {
-            "max_outer_iters": s.solver.max_outer_iters,
-            "tol_policy": s.solver.tol_policy,
-            "tol_value": s.solver.tol_value,
-            "damping": s.solver.damping,
-            "mixing": s.solver.mixing,
-        },
-        "snapshot_times": list(s.snapshot_times),
-        "exchange": {"t_left": list(s.exchange_t_left), "t_right": list(s.exchange_t_right)},
-    }
+    """The scenario as a dict in FIELDS order; fields that hold None are left out."""
+    stored = ((f.key, functools.reduce(getattr, f.key.split("."), s))
+              for f in FIELDS if f.key not in _INPUT_ONLY)
+    return _nest((key, _plain(value)) for key, value in stored if value is not None)
 
 
 def parse_scenario(path) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError([f"{path}: not valid JSON ({exc})"]) from exc
+    except OSError as exc:
+        raise ScenarioError([f"{path}: cannot read ({exc.strerror or exc})"]) from exc
+    except (ValueError, RecursionError) as exc:  # undecodable bytes or malformed JSON
+        raise ScenarioError([f"{path}: not valid JSON ({exc})"]) from exc
     return scenario_from_dict(data)
 
 
@@ -434,10 +393,6 @@ def control_set(s: Scenario) -> ControlSet:
 
 def target_set(s: Scenario) -> TargetSet:
     return TargetSet(points=s.target)
-
-
-def baseline_params(s: Scenario) -> BaselineParams:
-    return BaselineParams(t_left=s.exchange_t_left, t_right=s.exchange_t_right)
 
 
 def initial_field(s: Scenario, g: SpatialGrid) -> np.ndarray:

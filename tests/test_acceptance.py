@@ -50,7 +50,7 @@ def sec6_coarse():
     rho0 = initial_field(scn, g)
     t0 = time.perf_counter()
     sol = mfg.solve(rho0, g, tg, scn.flux, scn.cost, control_set(scn), target_set(scn),
-                    drift=scn.drift, options=scn.solver)
+                    options=scn.solver)
     elapsed = time.perf_counter() - t0
     return scn, g, tg, sol, elapsed
 
@@ -232,8 +232,7 @@ def test_criterion_8_single_lane_reduction():
     rho0 = (np.exp(-((x - 2.0) ** 2)) / 2.0)[None, :]
     controls = ControlSet(tuple(round(0.1 * i, 1) for i in range(11)))
     sol = mfg.solve(rho0, g, tg, P, C, controls, tgt)
-    run = mfg._forward(rho0, g, tg, P, controls, sol.u_traj, sol.q_traj,
-                       sol.value_traj, "optimal-control")
+    run = mfg._forward(rho0, g, tg, P, controls, sol.u_traj, sol.q_traj)
     diff = float(np.abs(sol.rho_traj - run.rho_traj).max())
     _record(8, diff <= 1e-12, f"max density difference vs pure transport {diff:.2e}")
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -36,6 +37,35 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+# Malformed scenario files, each with the names its error message must
+# contain and those it must not.
+BAD_CONFIGS = [
+    pytest.param(small_dict(lanes=0), ["lanes"], [], id="zero-lanes"),
+    pytest.param(small_dict(domain=["a", 10.0]), ["domain"], [], id="text-in-domain"),
+    pytest.param(small_dict(target=[["x", 1], [10.0, 2]]), ["target"], [], id="text-in-target"),
+    pytest.param(small_dict(exchange={"t_left": ["a", 1.0]}), ["exchange.t_left"], [],
+                 id="text-in-exchange"),
+    pytest.param(small_dict(snapshot_times=[0.0, "b"]), ["snapshot_times"], [],
+                 id="text-in-snapshots"),
+    pytest.param(small_dict(domain=["a", 10.0], cost={"kappa": -1.0, "epsilon": 1e-5}),
+                 ["domain", "kappa"], [], id="two-problems"),
+    pytest.param(small_dict(solver={"max_outer_iters": 2.5}), ["max_outer_iters"], [],
+                 id="fractional-iterations"),
+    pytest.param(small_dict(initial_density={"samples": [[[math.nan, 0.0], [10.0, 0.0]]] * 2}),
+                 ["initial_density.samples"], [], id="nan-sample-x"),
+    pytest.param(small_dict(control_levels=[0.0, math.nan, 1.0]), ["control_levels"], [],
+                 id="nan-control-level"),
+    pytest.param(small_dict(exchange={"t_right": [math.inf, 1.0]}), ["exchange.t_right"], [],
+                 id="infinite-exchange-rate"),
+    pytest.param(small_dict(domain=[0.0, math.inf]), ["domain"], ["tol_value"],
+                 id="infinite-domain"),
+    pytest.param(small_dict(target=[[10.0, True]]), ["target"], [], id="boolean-lane"),
+    pytest.param(small_dict(drift="literal-gradient"), ["drift"], [], id="removed-drift"),
+    pytest.param(None, ["bad.json"], [], id="missing-file"),
+    pytest.param(b"\xff\xfe{}", ["bad.json"], [], id="not-utf8"),
+]
 
 
 class TestRun:
@@ -115,10 +145,20 @@ class TestMain:
         assert code == 0
         assert (tmp_path / "out" / "summary.json").exists()
 
-    def test_bad_config_exits_one(self, tmp_path):
+    @pytest.mark.parametrize("content, named, not_named", BAD_CONFIGS)
+    def test_bad_config_exits_one(self, tmp_path, capsys, content, named, not_named):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps(small_dict(lanes=0)))
-        assert main(["--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        if isinstance(content, dict):
+            cfg.write_text(json.dumps(content))
+        elif content is not None:
+            cfg.write_bytes(content)
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid scenario:")
+        for name in named:
+            assert name in err
+        for name in not_named:
+            assert name not in err
 
     def test_unknown_preset_exits_one(self, tmp_path):
         assert main(["--preset", "nope", "--out-dir", str(tmp_path)]) == 1
@@ -136,15 +176,17 @@ class TestMain:
         assert (tmp_path / "out" / "snapshot_t1.5.csv").exists()
         assert not (tmp_path / "out" / "snapshot_t2.csv").exists()
 
-    def test_invalid_snapshot_override_exits_one(self, tmp_path):
+    def test_invalid_snapshot_override_exits_one(self, tmp_path, capsys):
         scn = scenario_from_dict(small_dict())
         cfg = tmp_path / "scn.json"
         write_scenario(scn, cfg)
-        code = main([
-            "--config", str(cfg), "--out-dir", str(tmp_path),
-            "--snapshots", "0,99",
-        ])
-        assert code == 1
+        for snapshots in ("0,99", "0,a"):
+            code = main([
+                "--config", str(cfg), "--out-dir", str(tmp_path),
+                "--snapshots", snapshots,
+            ])
+            assert code == 1
+            assert "snapshot_times" in capsys.readouterr().err
 
     def test_solver_overrides(self, tmp_path):
         scn = scenario_from_dict(small_dict())
@@ -153,8 +195,7 @@ class TestMain:
         out = tmp_path / "out"
         code = main([
             "--config", str(cfg), "--out-dir", str(out),
-            "--max-outer-iters", "2", "--damping", "1.0",
-            "--drift", "optimal-control", "--mode", "mfg",
+            "--max-outer-iters", "2", "--damping", "1.0", "--mode", "mfg",
         ])
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 
+import lanemfg
 from lanemfg.grid import (
     TimeGrid,
     basis_weights,
@@ -147,3 +153,32 @@ class TestProjectInitial:
         out = project_initial(gauss, g)
         ref = quad(gauss, 0.0, 25.0, epsabs=1e-12)[0]
         assert float(out @ g.cell_widths) == pytest.approx(ref, abs=1e-8)
+
+    @pytest.mark.parametrize("m, samples", [(501, 9), (5001, 9), (41, 3), (7, 5)])
+    def test_bit_identical_to_scipy_simpson(self, m, samples):
+        g = build_uniform(-1.0, 25.0, m)
+
+        def profile(x):
+            return gauss(x) + 0.1 * np.sin(3.0 * x) ** 2
+
+        half = 0.5 * g.dx
+        lo = np.maximum(g.nodes - half, g.x_lo)
+        hi = np.minimum(g.nodes + half, g.x_hi)
+        pts = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, samples)[None, :]
+        expected = simpson(profile(pts), x=pts, axis=1) / (hi - lo)
+        np.testing.assert_array_equal(project_initial(profile, g, samples), expected)
+
+    def test_runs_without_scipy(self):
+        code = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "import lanemfg\n"
+            "from lanemfg.scenario import initial_field, preset, spatial_grid\n"
+            "s = preset('paper-sec6-coarse')\n"
+            "print(initial_field(s, spatial_grid(s)).shape)\n"
+        )
+        src = str(Path(lanemfg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "(3, 501)"

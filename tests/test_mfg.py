@@ -121,8 +121,7 @@ class TestSolve:
         sol = solve(rho0[:1], g, tg, P, C, U, tgt1)
         from lanemfg.mfg import _forward
 
-        run = _forward(rho0[:1], g, tg, P, U, sol.u_traj, sol.q_traj, sol.value_traj,
-                       "optimal-control")
+        run = _forward(rho0[:1], g, tg, P, U, sol.u_traj, sol.q_traj)
         np.testing.assert_array_equal(sol.rho_traj, run.rho_traj)
 
     def test_fixed_point_under_zero_tolerance(self):
@@ -133,8 +132,7 @@ class TestSolve:
         # one more outer iteration reproduces the policies exactly
         from lanemfg.mfg import _forward
 
-        run = _forward(rho0, g, tg, P, U, sol.u_traj, sol.q_traj, sol.value_traj,
-                       "optimal-control")
+        run = _forward(rho0, g, tg, P, U, sol.u_traj, sol.q_traj)
         back = solve_backward(run.rho_traj, g, tg, U, C, P, tgt)
         np.testing.assert_array_equal(back.u_idx, sol.u_traj)
         np.testing.assert_array_equal(back.q_target, sol.q_traj)
@@ -160,15 +158,3 @@ class TestSolve:
         opts = SolverOptions(max_outer_iters=8, mixing="harmonic")
         sol = solve(rho0, g, tg, P, C, U, tgt, options=opts)
         assert sol.rho_traj.shape == (16, 2, 31)
-
-    def test_literal_gradient_mode_runs(self):
-        g, tg, tgt, rho0 = small_problem()
-        opts = SolverOptions(max_outer_iters=5)
-        sol = solve(rho0, g, tg, P, C, U, tgt, drift="literal-gradient", options=opts)
-        assert np.all(np.isfinite(sol.rho_traj))
-        assert np.all(sol.rho_traj >= 0.0)
-
-    def test_unknown_drift_rejected(self):
-        g, tg, tgt, rho0 = small_problem()
-        with pytest.raises(ValueError):
-            solve(rho0, g, tg, P, C, U, tgt, drift="warp")

@@ -1,9 +1,12 @@
-import json
+import copy
+import math
 
-import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lanemfg.scenario import (
+    PRESETS,
     ScenarioError,
     initial_field,
     density_functions,
@@ -113,14 +116,6 @@ class TestValidation:
         else:
             pytest.fail("expected ScenarioError")
 
-    def test_per_lane_flux_reserved(self):
-        d = small_dict()
-        d["per_lane_flux"] = [{"a": 3.0}]
-        with pytest.raises(ScenarioError, match="per_lane_flux"):
-            scenario_from_dict(d)
-        d["per_lane_flux"] = None  # explicit null is fine
-        scenario_from_dict(d)
-
     def test_density_preset_needs_three_lanes(self):
         d = small_dict()
         d["initial_density"] = {"preset": "paper-sec6"}
@@ -205,3 +200,123 @@ class TestDensityEvaluation:
         rho0 = initial_field(s, g)
         # triangle profile lane 1: peak 0.4 over [0, 6]
         assert (rho0[0] @ g.cell_widths) == pytest.approx(0.4 * 6.0 / 2.0, rel=1e-6)
+
+
+# ---- property tests: validation only, no solving
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.just(10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.lists(st.one_of(st.integers(-1, 3), st.floats(-1.0, 30.0)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def _paths(node, prefix=()):
+    """Every position in a nested dict/list, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, prefix + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _paths(child, prefix + (i,))
+
+
+def _mutate(root, data):
+    """One random edit: replace a value, drop it, or add an extra entry next to it."""
+    path = data.draw(st.sampled_from(list(_paths(root))))
+    if not path:
+        return data.draw(JUNK)
+    parent = root
+    for key in path[:-1]:
+        parent = parent[key]
+    action = data.draw(st.sampled_from(["replace", "drop", "add"]))
+    if action == "replace":
+        parent[path[-1]] = data.draw(JUNK)
+    elif action == "drop":
+        del parent[path[-1]]
+    elif isinstance(parent, dict):
+        parent[data.draw(st.text(max_size=4))] = data.draw(JUNK)
+    else:
+        parent.append(data.draw(JUNK))
+    return root
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_scenarios_raise_only_scenario_error(data):
+    d = data.draw(st.sampled_from([small_dict, PRESETS["paper-sec6-coarse"]]))()
+    for _ in range(data.draw(st.integers(1, 3))):
+        d = _mutate(d, data)
+    try:
+        s = scenario_from_dict(copy.deepcopy(d))
+    except ScenarioError as exc:
+        assert exc.problems
+    else:
+        assert scenario_from_dict(scenario_to_dict(s)) == s
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_dicts(draw):
+    lanes = draw(st.integers(1, 4))
+    x_lo = draw(_finite(-100.0, 100.0))
+    x_hi = x_lo + draw(_finite(0.5, 100.0))
+    horizon = draw(_finite(0.01, 50.0))
+    levels = sorted(set(draw(st.lists(_finite(0.01, 0.99), max_size=4))))
+    lane_no = st.integers(1, lanes)
+    d = {
+        "lanes": lanes,
+        "domain": [x_lo, x_hi],
+        "horizon": horizon,
+        "node_count": draw(st.integers(2, 60)),
+        "step_count": draw(st.integers(1, 60)),
+        "flux": {k: draw(_finite(0.01, 10.0)) for k in ("a", "b", "rho_max")},
+        "cost": {k: draw(_finite(1e-6, 10.0)) for k in ("kappa", "epsilon")},
+        "control_levels": [0.0, *levels, 1.0],
+        "target": draw(st.lists(st.tuples(_finite(x_lo, x_hi), lane_no).map(list),
+                                min_size=1, max_size=3)),
+    }
+    if lanes == 3 and draw(st.booleans()):
+        d["initial_density"] = {"preset": "paper-sec6"}
+    else:
+        table = st.lists(_finite(x_lo, x_hi), min_size=1, max_size=4, unique=True).flatmap(
+            lambda xs: st.tuples(*[_finite(0.0, 1.0).map(lambda v, x=x: [x, v])
+                                   for x in sorted(xs)]).map(list))
+        d["initial_density"] = {"samples": draw(st.lists(table, min_size=lanes,
+                                                         max_size=lanes))}
+    if draw(st.booleans()):
+        d["solver"] = draw(st.fixed_dictionaries({}, optional={
+            "max_outer_iters": st.integers(1, 100),
+            "tol_policy": _finite(0.0, 1.0),
+            "tol_value": _finite(0.0, 1.0),
+            "damping": _finite(0.01, 1.0),
+            "mixing": st.sampled_from(["constant", "harmonic"]),
+        }))
+    if draw(st.booleans()):
+        d["snapshot_times"] = draw(st.lists(_finite(0.0, horizon), max_size=4))
+    if draw(st.booleans()):
+        rates = st.lists(_finite(0.01, 1e6), min_size=lanes, max_size=lanes)
+        d["exchange"] = draw(st.fixed_dictionaries({}, optional={"t_left": rates,
+                                                                 "t_right": rates}))
+    if draw(st.booleans()):
+        d["drift"] = "optimal-control"
+    return d
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(d=valid_dicts())
+def test_valid_scenarios_round_trip(tmp_path, d):
+    s = scenario_from_dict(d)
+    path = tmp_path / "scenario.json"
+    write_scenario(s, path)
+    assert parse_scenario(path) == s
