@@ -18,7 +18,6 @@ from .hjb import (
     BackwardResult,
     ControlSet,
     PolicySlice,
-    SolverError,
     hamiltonian_step,
     jump_operator,
     qvi_backward_step,

@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline, mfg, scenario as sc, transport
-from .hjb import SolverError
 from .scenario import Scenario, ScenarioError
 
 __all__ = ["run", "main"]
@@ -174,9 +173,6 @@ def main(argv=None) -> int:
 
     try:
         summary = run(scn, args.mode, args.out_dir)
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2

@@ -1,18 +1,19 @@
 """Backward semi-Lagrangian solver for the lane-switching value function.
 
 Each backward step takes the value slice at the next time level and the
-current density slice and solves, at every node and lane, the fixed-point
-form
+current density slice and solves, at every node and lane, the obstacle
+problem
 
-    V(x_j, a) = min( Sigma(x_j, a, V_next),  Psi(x_j, a, V) )
+    V(x_j, a) = min( W(x_j, a),  min_{b != a} V(x_j, b) + kappa*|a - b| )
 
-where Sigma is the semi-Lagrangian Hamiltonian minimization over a finite
+where W is the semi-Lagrangian Hamiltonian minimization over a finite
 control set (pay dt * running cost, move to the foot x_j + dt*u*f(rho_a),
-interpolate V_next there) and Psi is the switching obstacle: the best
-value of jumping to another lane plus the lateral cost kappa*|a - b|.
-Psi references the value slice at the SAME time level, so each step runs
-a short inner iteration; with a strictly positive switching cost the
-chain of profitable jumps settles in fewer than n passes.
+interpolate V_next there) and the second term is the switching obstacle.
+It refers to V at the SAME time level, but kappa*|a - b| is a metric, so
+by the triangle inequality a chain of jumps never beats the direct jump:
+the solution is V(x_j, a) = min_b W(x_j, b) + kappa*|a - b|, one pass of
+the switch operator over W (the L1 lower envelope of Felzenszwalb &
+Huttenlocher, "Distance transforms of sampled functions", 2012).
 
 Lane labels are 1-based throughout (q_target values live in 1..n); array
 axes are 0-based as usual.
@@ -29,7 +30,6 @@ from .grid import SpatialGrid, TimeGrid, locate
 from .model import CostParams, FluxParams, TargetSet, flux_eval, running_cost, terminal_value
 
 __all__ = [
-    "SolverError",
     "ControlSet",
     "PolicySlice",
     "BackwardResult",
@@ -39,10 +39,6 @@ __all__ = [
     "qvi_backward_step",
     "solve_backward",
 ]
-
-
-class SolverError(RuntimeError):
-    """Raised when a solver step cannot complete (invalid configuration)."""
 
 
 @dataclass(frozen=True)
@@ -85,22 +81,26 @@ def jump_operator(v, c: CostParams):
     """Best switch value min over b != a of V(x, b) + kappa*|a - b|.
 
     Returns (psi, target) where target holds the 1-based argmin lane.
-    Ties prefer the smaller |b - a|, then the smaller b. With a single
-    lane the min is over the empty set: psi is +inf.
+    Ties prefer the smaller |b - a|, then the smaller b, also when every
+    candidate is +inf (kappa = inf). With a single lane the min is over
+    the empty set: psi is +inf and target the own lane.
     """
     v = np.atleast_2d(np.asarray(v, dtype=float))
-    n, m = v.shape
-    psi = np.full_like(v, np.inf)
-    target = np.empty((n, m), dtype=np.int64)
-    for a in range(n):
-        target[a] = a + 1
-        best = np.full(m, np.inf)
-        for b in sorted((b for b in range(n) if b != a), key=lambda b: (abs(b - a), b)):
-            cand = v[b] + c.kappa * abs(a - b)
-            better = cand < best
-            best = np.where(better, cand, best)
-            target[a] = np.where(better, b + 1, target[a])
-        psi[a] = best
+    n = v.shape[0]
+    if n == 1:
+        return np.full_like(v, np.inf), np.ones(v.shape, dtype=np.int64)
+    # row a: the other lanes in tie order (b = a has the row's smallest key, a < n)
+    lanes = np.arange(n)
+    dist = np.abs(lanes[:, None] - lanes)
+    others = np.argsort(dist * n + lanes, axis=1)[:, 1:]
+    cand = v[others]  # (n, n-1, M), updated in place: fresh pages are slow to fault in
+    cand += c.kappa * dist[lanes[:, None], others][:, :, None]
+    psi = cand.min(axis=1)
+    # target: the least tie rank among the candidates that attain psi (a rank
+    # counts n more where its candidate exceeds psi); int32 keeps these small
+    rank = np.min(np.arange(n - 1, dtype=np.int32)[:, None]
+                  + np.int32(n) * (cand > psi[:, None]), axis=1)
+    target = np.take(others + 1, rank + (n - 1) * lanes[:, None])
     return psi, target
 
 
@@ -137,32 +137,19 @@ def hamiltonian_step(v_next, rho, g: SpatialGrid, dt: float, controls: ControlSe
 
 def qvi_backward_step(v_next, rho, g: SpatialGrid, dt: float, controls: ControlSet,
                       c: CostParams, p: FluxParams):
-    """One backward step of the obstacle problem.
+    """One backward step of the obstacle problem, in closed form.
 
-    Starts from the Hamiltonian branch W and lowers it with profitable
-    switches until no entry changes; a switch chain is composed down to
-    its final target (jump costs are additive along monotone chains).
-    q_target stays at the own lane wherever no switch strictly improves.
+    V is the Hamiltonian branch W lowered by one switch; the module
+    docstring says why one pass is exact. Ties follow jump_operator
+    (nearer lane, then lower lane), and q_target stays at the own lane
+    wherever no switch strictly improves on W.
     """
     w, u_idx = hamiltonian_step(v_next, rho, g, dt, controls, c, p)
-    n, m = w.shape
-    q = np.repeat(np.arange(1, n + 1, dtype=np.int64)[:, None], m, axis=1)
-    if n == 1:
-        return w, PolicySlice(u_idx=u_idx, q_target=q)
-
-    v = w.copy()
-    cols = np.arange(m)[None, :]
-    for _ in range(n):
-        psi, tgt = jump_operator(v, c)
-        improved = psi < v
-        if not improved.any():
-            return v, PolicySlice(u_idx=u_idx, q_target=q)
-        q = np.where(improved, q[tgt - 1, cols], q)
-        v = np.where(improved, psi, v)
-    raise SolverError(
-        "switch fixed point did not settle within the lane count; "
-        "this indicates a non-positive switching cost"
-    )
+    psi, tgt = jump_operator(w, c)
+    improved = psi < w
+    own = np.arange(1, w.shape[0] + 1)[:, None]
+    q_target = np.where(improved, tgt, own)
+    return np.where(improved, psi, w), PolicySlice(u_idx=u_idx, q_target=q_target)
 
 
 def solve_backward(rho_traj, g: SpatialGrid, tg: TimeGrid, controls: ControlSet,

@@ -63,6 +63,8 @@ BAD_CONFIGS = [
                  id="infinite-domain"),
     pytest.param(small_dict(target=[[10.0, True]]), ["target"], [], id="boolean-lane"),
     pytest.param(small_dict(drift="literal-gradient"), ["drift"], [], id="removed-drift"),
+    pytest.param(small_dict(node_count=10**12), ["node_count", "step_count"], [],
+                 id="beyond-memory"),
     pytest.param(None, ["bad.json"], [], id="missing-file"),
     pytest.param(b"\xff\xfe{}", ["bad.json"], [], id="not-utf8"),
 ]

@@ -99,8 +99,9 @@ class TestSwitchingCost:
                     )
 
     def test_kappa_must_be_positive(self):
-        with pytest.raises(ValueError):
-            CostParams(kappa=0.0, epsilon=1e-5)
+        for kappa in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                CostParams(kappa=kappa, epsilon=1e-5)
         # an infinite kappa is a valid sentinel disabling switching
         assert CostParams(kappa=math.inf, epsilon=1e-5).kappa == math.inf
 
