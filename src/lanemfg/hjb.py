@@ -15,6 +15,19 @@ the solution is V(x_j, a) = min_b W(x_j, b) + kappa*|a - b|, one pass of
 the switch operator over W (the L1 lower envelope of Felzenszwalb &
 Huttenlocher, "Distance transforms of sampled functions", 2012).
 
+The Hamiltonian minimization reads V_next at only the top and the
+second-highest foot of a cell wherever that decides the argmin exactly,
+and runs the full search over every level elsewhere. The located foot is
+monotone in u, so every foot of a cell lies between its node and its top
+foot. Where the top foot locates onto the node itself ("home"), every
+candidate is the same number and the tie rule picks the top. Where the
+speed is positive, V_next does not rise between the node and the top
+foot, and the top foot's value lies below the second foot's by a margin
+that outweighs the rounding of the P1 formula ("falling with margin"),
+every lower foot computes to at least the top's value. Both give u = 1
+and V = dt*l + V_next(top foot), bit for bit what the full search gives;
+hamiltonian_step spells out the bounds.
+
 Lane labels are 1-based throughout (q_target values live in 1..n); array
 axes are 0-based as usual.
 """
@@ -104,6 +117,11 @@ def jump_operator(v, c: CostParams):
     return psi, target
 
 
+def _p1(v_flat, i, t):
+    """P1 interpolation of V_next at cell i, offset t; i indexes the flattened lanes."""
+    return (1.0 - t) * v_flat.take(i) + t * v_flat[1:].take(i)
+
+
 def hamiltonian_step(v_next, rho, g: SpatialGrid, dt: float, controls: ControlSet,
                      c: CostParams, p: FluxParams):
     """Semi-Lagrangian minimization over the control set, per node and lane.
@@ -115,24 +133,77 @@ def hamiltonian_step(v_next, rho, g: SpatialGrid, dt: float, controls: ControlSe
     domain interpolate the boundary node value. Ties in the control argmin
     resolve to the largest u.
 
+    Each cell first locates only its top foot (u = 1, which ControlSet
+    fixes as the last level) and its second-highest foot. The located
+    position c = clip((x - x_lo)/dx), snapped and split into cell i and
+    offset t = c - i (exact), is monotone in u, so every foot of a cell
+    locates between its node (u = 0) and its top foot. A cell takes the
+    top level, with value dt*l + P1(top foot), by either of two rules:
+
+    - home: the top foot locates to the same (i, t) as the node. Every
+      foot then does, the candidates are the same number, and the tie
+      rule picks the top. Zero speed and vanishing densities land here.
+    - falling with margin: f(rho) > 0, V_next does not rise over the
+      nodes from the node's cell to the top foot's right node, and
+      top <= second - 2E with E = 2**-50 * max|V_next| on the lane (plus
+      the least normal float, for underflow). The exact P1 value at any
+      lower foot is then at least the second foot's. The four roundings
+      of the P1 formula, (1 - t), two products and a sum, stay within
+      4*2**-53 * max|V_next| = E/2, so 2E covers the errors at the top
+      foot and at a lower foot with room for the rounding of
+      second - 2E: every lower foot computes to at least the top's
+      value, and adding dt*l rounds monotonically and keeps <=.
+
+    The margin is needed: on a strictly falling window, rounding alone
+    can put a lower level one ulp below the top. Every other cell (a
+    rising window, a flat or near-flat one that misses the margin,
+    negative or non-finite speed, non-finite V_next) gets the full search
+    over all levels, with the same expressions and tie rule, so the
+    result is bitwise that of the full search.
+
     Returns (values, u_idx).
     """
     v_next = np.atleast_2d(np.asarray(v_next, dtype=float))
     rho = np.atleast_2d(np.asarray(rho, dtype=float))
-    n = v_next.shape[0]
+    n, m = v_next.shape
     u = controls.values
     k = u.size
 
     speed = flux_eval(rho, p)
     ell = running_cost(rho, c, p)
-    feet = g.nodes[None, :, None] + dt * speed[:, :, None] * u[None, None, :]
-    i, t = locate(feet, g)
-    lane = np.arange(n)[:, None, None]
-    interp = (1.0 - t) * v_next[lane, i] + t * v_next[lane, i + 1]
-    total = dt * ell[:, :, None] + interp
+    step = dt * speed
+    v_flat = v_next.reshape(-1)
+    lane_start = np.arange(0, n * m, m)[:, None]
 
-    u_idx = (k - 1) - np.argmin(total[:, :, ::-1], axis=2)
-    return np.min(total, axis=2), u_idx
+    # the top and the second foot, and where a foot of zero speed lands
+    i_home, t_home = locate(g.nodes, g)
+    i_top, t_top = locate(g.nodes + step * u[-1], g)
+    home = (i_top == i_home) & (t_top == t_home) & np.isfinite(step)
+    i_top += lane_start
+    top = _p1(v_flat, i_top, t_top)
+    i_sec, t_sec = locate(g.nodes + step * u[-2], g)
+    second = _p1(v_flat, i_sec + lane_start, t_sec)
+
+    # rises[a, j]: steps of V_next on lane a left of node j that rise (or
+    # touch a NaN)
+    rises = np.zeros((n, m), dtype=np.int32)
+    np.cumsum(~(v_next[:, 1:] <= v_next[:, :-1]), axis=1, out=rises[:, 1:])
+    # E of the falling rule, per lane; the window has no rise when the counts
+    # left of the node's cell and of the top foot's right node agree
+    err = 2.0 ** -50 * np.abs(v_next).max(axis=1, keepdims=True) + np.finfo(float).tiny
+    falling = ((speed > 0.0) & (rises.reshape(-1)[1:].take(i_top) == rises.take(i_home, axis=1))
+               & (top <= second - 2.0 * err) & np.isfinite(err))
+
+    values = dt * ell + top
+    u_idx = np.full((n, m), k - 1)
+    a, j = np.nonzero(~(home | falling))
+    if a.size:
+        # the full search over every control level
+        i, t = locate(g.nodes[j, None] + step[a, j, None] * u, g)
+        total = dt * ell[a, j, None] + _p1(v_flat, i + lane_start[a], t)
+        values[a, j] = np.min(total, axis=1)
+        u_idx[a, j] = (k - 1) - np.argmin(total[:, ::-1], axis=1)
+    return values, u_idx
 
 
 def qvi_backward_step(v_next, rho, g: SpatialGrid, dt: float, controls: ControlSet,

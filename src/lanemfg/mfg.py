@@ -133,12 +133,18 @@ def initialize_policies(rho0, g: SpatialGrid, tg: TimeGrid, controls: hjb.Contro
     return hjb.solve_backward(frozen, g, tg, controls, c, p, tgt)
 
 
+def _abs_diff(a, b):
+    """|a - b| with one temporary, not two: a trajectory can be hundreds of MB."""
+    d = np.subtract(a, b)
+    return np.abs(d, out=d)
+
+
 def residuals(prev: Iterate, nxt: Iterate, g: SpatialGrid, tg: TimeGrid):
     """(policy-change fraction, value sup-norm change, density L1 change)."""
     changed = (prev.u_idx != nxt.u_idx) | (prev.q_target != nxt.q_target)
     policy_change = float(changed.mean())
-    value_change = float(np.abs(prev.values - nxt.values).max())
-    density_change = float((np.abs(prev.rho_traj - nxt.rho_traj) @ g.cell_widths).sum() * tg.dt)
+    value_change = float(_abs_diff(prev.values, nxt.values).max())
+    density_change = float((_abs_diff(prev.rho_traj, nxt.rho_traj) @ g.cell_widths).sum() * tg.dt)
     return policy_change, value_change, density_change
 
 

@@ -311,11 +311,11 @@ def _check_across(v: dict, problems: list) -> None:
         if any(b <= a for a, b in zip(levels, levels[1:])):
             problems.append("scenario.control_levels: must be strictly increasing")
     if ok("lanes", "node_count", "step_count"):
-        # mfg.solve peaks in `residuals` holding seven float64 (N+1, n, M)
-        # arrays (two value and three density trajectories, two temporaries),
-        # four int16 policy arrays and a bool mask: 8.125 such arrays, rounded
-        # up to 9. The switch stage of a step adds under two (n, n-1, M) ones.
-        need = 8 * lanes * v["node_count"] * (9 * (v["step_count"] + 1) + 2 * (lanes - 1))
+        # mfg.solve peaks in `residuals` holding six float64 (N+1, n, M)
+        # arrays (two value and three density trajectories, one temporary),
+        # four int16 policy arrays and a bool mask: 7.125 such arrays, rounded
+        # up to 8. The switch stage of a step adds under two (n, n-1, M) ones.
+        need = 8 * lanes * v["node_count"] * (8 * (v["step_count"] + 1) + 2 * (lanes - 1))
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
             problems.append(f"scenario.lanes, scenario.node_count, scenario.step_count: the "

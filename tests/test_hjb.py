@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lanemfg.grid import TimeGrid, build_uniform
+from lanemfg.grid import TimeGrid, build_uniform, locate
 from lanemfg.hjb import (
     ControlSet,
     hamiltonian_step,
@@ -15,7 +16,7 @@ from lanemfg.hjb import (
     solve_backward,
     terminal_slice,
 )
-from lanemfg.model import CostParams, FluxParams, TargetSet, running_cost
+from lanemfg.model import CostParams, FluxParams, TargetSet, flux_eval, running_cost
 
 P = FluxParams(a=3.0, b=1.0, rho_max=1.0)
 C = CostParams(kappa=1.0, epsilon=1e-5)
@@ -50,6 +51,56 @@ def _iterated_closure(w, kappa, passes=None):
         q = np.where(improved, q[tgt - 1, cols], q)
         v = np.where(improved, psi, v)
     return v, q
+
+
+def _full_search(v_next, rho, g, dt, controls, c, p):
+    """The Hamiltonian minimization over every foot: the reference for the fast path."""
+    v_next = np.atleast_2d(np.asarray(v_next, dtype=float))
+    rho = np.atleast_2d(np.asarray(rho, dtype=float))
+    n = v_next.shape[0]
+    u = controls.values
+    k = u.size
+
+    speed = flux_eval(rho, p)
+    ell = running_cost(rho, c, p)
+    feet = g.nodes[None, :, None] + dt * speed[:, :, None] * u[None, None, :]
+    i, t = locate(feet, g)
+    lane = np.arange(n)[:, None, None]
+    interp = (1.0 - t) * v_next[lane, i] + t * v_next[lane, i + 1]
+    total = dt * ell[:, :, None] + interp
+
+    u_idx = (k - 1) - np.argmin(total[:, :, ::-1], axis=2)
+    return np.min(total, axis=2), u_idx
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@st.composite
+def _value_slices(draw, n, m):
+    """V_next lanes built node by node from ulp-sized, zero, 1e-8..1 or random steps."""
+    lanes = []
+    for _ in range(n):
+        v = [draw(st.floats(-30.0, 30.0))]
+        for _ in range(m - 1):
+            kind = draw(st.sampled_from(["ulp", "zero", "decade", "any"]))
+            if kind == "ulp":
+                step = draw(st.integers(-3, 3)) * np.spacing(v[-1])
+            elif kind == "zero":
+                step = 0.0
+            elif kind == "decade":
+                step = -(10.0 ** draw(st.floats(-8.0, 0.0)))
+            else:
+                step = draw(st.floats(-1.0, 1.0))
+            v.append(v[-1] + step)
+        lanes.append(v)
+    return np.array(lanes)
 
 
 class TestControlSet:
@@ -153,6 +204,69 @@ class TestHamiltonianStep:
         expected = np.minimum(expected, v_next[0] + dt * ell)  # right boundary clamps
         np.testing.assert_allclose(vals[0, :-1], expected[:-1], rtol=1e-12)
         assert vals[0, -1] == pytest.approx(dt * ell + 0.0)
+
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3), m=st.integers(2, 30),
+           inner=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                          max_size=10, unique=True),
+           dt=st.one_of(st.floats(0.0, 2.0), st.sampled_from([0.01, 0.05, 0.1])),
+           x_lo=st.sampled_from([0.0, -3.7, 12.5]), width=st.sampled_from([1.0, 0.3, 25.0]))
+    def test_bitwise_equal_to_full_search(self, data, n, m, inner, dt, x_lo, width):
+        # feet past x_hi (large dt, short domain) clamp onto the last node
+        g = build_uniform(x_lo, x_lo + width, m)
+        controls = ControlSet((0.0, *sorted(inner), 1.0))
+        # from vanishing densities to above rho_max (negative speed); the
+        # full-resolution preset overshoots to 6.35
+        density = st.one_of(st.floats(1e-300, 1.001), st.integers(-300, 0).map(lambda e: 10.0 ** e),
+                            st.sampled_from([1e-230, 0.25, 1.0, 1.0005, 1.5, 6.35]))
+        rho = data.draw(arrays(float, (n, m), elements=density))
+        v_next = data.draw(_value_slices(n, m))
+        vals, u_idx = hamiltonian_step(v_next, rho, g, dt, controls, C, P)
+        ref_vals, ref_u = _full_search(v_next, rho, g, dt, controls, C, P)
+        np.testing.assert_array_equal(vals, ref_vals)
+        np.testing.assert_array_equal(u_idx, ref_u)
+
+    def test_strict_fall_without_margin_is_not_enough(self):
+        # V_next falls strictly across the reach window of node 0, yet level 8
+        # computes one ulp below the top foot: only the margin keeps this cell
+        # out of the fast path
+        g = build_uniform(0.0, 1.0, 3)
+        v_next = np.array([[26.884357534540953, 26.884357534540943, 26.856025489047433]])
+        rho = np.array([[0.2, 0.1, 0.1]])
+        ref_vals, ref_u = _full_search(v_next, rho, g, 0.05, U11, C, P)
+        assert ref_u[0, 0] == 8
+        vals, u_idx = hamiltonian_step(v_next, rho, g, 0.05, U11, C, P)
+        np.testing.assert_array_equal(u_idx, ref_u)
+        np.testing.assert_array_equal(vals, ref_vals)
+
+    def test_negative_speed_takes_the_full_search(self):
+        # rho = 6.35 > rho_max sends the feet of the last node 0..4 cells left;
+        # V_next falls rightward there but the stay foot is the cheapest
+        g = build_uniform(0.0, 8.0, 9)
+        controls = ControlSet((0.0, 0.5, 0.75, 1.0))
+        v_next = np.array([[9.0, 9.0, 9.0, 9.0, 1.0, 5.0, 0.0, -1.0, -2.0]])
+        rho = np.zeros((1, 9))
+        rho[0, 8] = 6.35
+        dt = 4.0 / 5.35
+        vals, u_idx = hamiltonian_step(v_next, rho, g, dt, controls, C, P)
+        ref_vals, ref_u = _full_search(v_next, rho, g, dt, controls, C, P)
+        assert ref_u[0, 8] == 0
+        np.testing.assert_array_equal(u_idx, ref_u)
+        np.testing.assert_array_equal(vals, ref_vals)
+
+    def test_falling_slice_skips_the_full_search(self):
+        # every cell falls toward a right-end target: a fall-back to the full
+        # search would build the (3, 5001, 11) feet and show in the peak
+        g = build_uniform(0.0, 25.0, 5001)
+        rho = np.full((3, 5001), 0.3)
+        v_next = terminal_slice(g, 3, TargetSet(((25.0, 1), (25.0, 2), (25.0, 3))))
+        args = (v_next, rho, g, 0.01, U11, C, P)
+        (vals, u_idx), fast_peak = _traced_peak(hamiltonian_step, *args)
+        (ref_vals, ref_u), full_peak = _traced_peak(_full_search, *args)
+        np.testing.assert_array_equal(vals, ref_vals)
+        np.testing.assert_array_equal(u_idx, ref_u)
+        assert fast_peak < full_peak / 4
 
 
 class TestQviBackwardStep:
