@@ -13,6 +13,7 @@ error, 2 runtime solver error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import sys
@@ -28,29 +29,18 @@ __all__ = ["run", "main"]
 
 MODES = ("mfg", "uncontrolled")
 
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+_fmt = "{:.17g}".format
 
 
-def _snapshot_name(t: float) -> str:
-    return f"snapshot_t{t:g}.csv"
-
-
-def _write_snapshot(path: Path, t: float, g, rho, values, u_levels, u_idx, q_target):
-    """One CSV slice; values/u_idx/q_target may be None (uncontrolled mode)."""
+def _write_snapshot(path: Path, t: float, x, rho, values, u, s):
+    """One CSV slice from (n, M) columns rho, V, u and integer S, rows lane-major."""
     n, m = rho.shape
-    lines = ["t,x,lane,rho,V,u,S"]
-    ts = _fmt(t)
-    for a in range(n):
-        for j in range(m):
-            v = values[a, j] if values is not None else 0.0
-            u = u_levels[u_idx[a, j]] if u_idx is not None else 0.0
-            s = int(q_target[a, j]) - (a + 1) if q_target is not None else 0
-            lines.append(
-                f"{ts},{_fmt(g.nodes[j])},{a + 1},{_fmt(rho[a, j])},{_fmt(v)},{_fmt(u)},{s}"
-            )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    lanes = itertools.chain.from_iterable(itertools.repeat(str(a), m) for a in range(1, n + 1))
+    cols = (map(_fmt, c.ravel().tolist()) for c in (rho, values, u))
+    rows = zip(itertools.repeat(_fmt(t)), list(map(_fmt, x.tolist())) * n, lanes, *cols,
+               map(str, s.ravel().tolist()))
+    path.write_text("t,x,lane,rho,V,u,S\n" + "\n".join(map(",".join, rows)) + "\n",
+                    encoding="utf-8", newline="\n")
 
 
 def run(scn: Scenario, mode: str, out_dir) -> dict:
@@ -63,43 +53,32 @@ def run(scn: Scenario, mode: str, out_dir) -> dict:
     g = sc.spatial_grid(scn)
     tg = sc.time_grid(scn)
     rho0 = sc.initial_field(scn, g)
+    levels = [min(max(int(round(t / tg.dt)), 0), tg.step_count) for t in scn.snapshot_times]
     t0 = time.perf_counter()
 
     if mode == "mfg":
-        sol = mfg.solve(
-            rho0, g, tg, scn.flux, scn.cost, sc.control_set(scn), sc.target_set(scn),
-            options=scn.solver,
-        )
-        rho_traj = sol.rho_traj
-        converged = sol.converged
-        iterations = sol.iterations
-        residual_history = [list(r) for r in sol.residual_history]
-        outflow_cum, clamped_cum = sol.outflow_cum, sol.clamped_cum
-        clamp_flagged = sol.clamp_flagged
+        controls = sc.control_set(scn)
+        sol = mfg.solve(rho0, g, tg, scn.flux, scn.cost, controls, sc.target_set(scn),
+                        options=scn.solver)
+        # the terminal level reuses the last policy
+        policy_levels = [min(k, tg.step_count - 1) for k in levels]
+        values = sol.value_traj[levels]
+        u = controls.values[sol.u_traj[policy_levels]]
+        s = sol.q_traj[policy_levels] - np.arange(1, scn.lanes + 1)[:, None]
+        convergence = {"converged": sol.converged, "iterations": sol.iterations,
+                       "residual_history": [list(r) for r in sol.residual_history]}
     else:
-        run_ = baseline.uncontrolled_solve(rho0, g, tg, scn.flux, scn.exchange)
-        sol = None
-        rho_traj = run_.rho_traj
-        converged = True
-        iterations = 0
-        residual_history = []
-        outflow_cum, clamped_cum = run_.outflow_cum, run_.clamped_cum
-        clamp_flagged = run_.clamp_flagged
+        sol = baseline.uncontrolled_solve(rho0, g, tg, scn.flux, scn.exchange)
+        values = u = [np.zeros_like(rho0)] * len(levels)
+        s = [np.zeros(rho0.shape, dtype=int)] * len(levels)
+        convergence = {"converged": True, "iterations": 0, "residual_history": []}
 
-    u_levels = sc.control_set(scn).values
     snapshots = []
-    for t in scn.snapshot_times:
-        k = int(round(t / tg.dt))
-        k = min(max(k, 0), tg.step_count)
+    for k, v_k, u_k, s_k in zip(levels, values, u, s):
         t_k = k * tg.dt
-        name = _snapshot_name(t_k)
-        if sol is not None:
-            kp = min(k, tg.step_count - 1)  # terminal level reuses the last policy
-            _write_snapshot(out / name, t_k, g, rho_traj[k], sol.value_traj[k],
-                            u_levels, sol.u_traj[kp], sol.q_traj[kp])
-        else:
-            _write_snapshot(out / name, t_k, g, rho_traj[k], None, u_levels, None, None)
-        per_lane, total = transport.total_mass(rho_traj[k], g)
+        name = f"snapshot_t{t_k:g}.csv"
+        _write_snapshot(out / name, t_k, g.nodes, sol.rho_traj[k], v_k, u_k, s_k)
+        per_lane, total = transport.total_mass(sol.rho_traj[k], g)
         snapshots.append({
             "time": t_k,
             "file": name,
@@ -110,14 +89,12 @@ def run(scn: Scenario, mode: str, out_dir) -> dict:
     wall = time.perf_counter() - t0
     summary = {
         "mode": mode,
-        "converged": converged,
-        "iterations": iterations,
-        "residual_history": residual_history,
+        **convergence,
         "snapshots": snapshots,
-        "initial_mass_total": transport.total_mass(rho_traj[0], g)[1],
-        "cumulative_outflow": float(outflow_cum[-1]),
-        "cumulative_clamped": float(clamped_cum[-1]),
-        "clamp_flagged": bool(clamp_flagged),
+        "initial_mass_total": transport.total_mass(sol.rho_traj[0], g)[1],
+        "cumulative_outflow": float(sol.outflow_cum[-1]),
+        "cumulative_clamped": float(sol.clamped_cum[-1]),
+        "clamp_flagged": bool(sol.clamp_flagged),
         "wall_time_seconds": wall,
     }
     with open(out / "summary.json", "w", encoding="utf-8") as fh:

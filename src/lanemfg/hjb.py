@@ -40,7 +40,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import SpatialGrid, TimeGrid, locate
-from .model import CostParams, FluxParams, TargetSet, flux_eval, running_cost, terminal_value
+from .model import (CostParams, FluxParams, TargetSet, flux_eval, running_cost, switching_cost,
+                    terminal_value)
 
 __all__ = [
     "ControlSet",
@@ -52,6 +53,10 @@ __all__ = [
     "qvi_backward_step",
     "solve_backward",
 ]
+
+# Policies are stored as int16: control indices and 1-based switch targets.
+POLICY_DTYPE = np.int16
+MAX_CONTROL_LEVELS = int(np.iinfo(POLICY_DTYPE).max) + 1
 
 
 @dataclass(frozen=True)
@@ -66,6 +71,8 @@ class ControlSet:
             raise ValueError("control levels must start at 0 and end at 1")
         if any(b <= a for a, b in zip(lv, lv[1:])):
             raise ValueError("control levels must be strictly increasing")
+        if len(lv) > MAX_CONTROL_LEVELS:
+            raise ValueError(f"at most {MAX_CONTROL_LEVELS} control levels, got {len(lv)}")
 
     @property
     def values(self) -> np.ndarray:
@@ -107,7 +114,7 @@ def jump_operator(v, c: CostParams):
     dist = np.abs(lanes[:, None] - lanes)
     others = np.argsort(dist * n + lanes, axis=1)[:, 1:]
     cand = v[others]  # (n, n-1, M), updated in place: fresh pages are slow to fault in
-    cand += c.kappa * dist[lanes[:, None], others][:, :, None]
+    cand += switching_cost(lanes[:, None], others, c)[:, :, None]
     psi = cand.min(axis=1)
     # target: the least tie rank among the candidates that attain psi (a rank
     # counts n more where its candidate exceeds psi); int32 keeps these small
@@ -238,8 +245,8 @@ def solve_backward(rho_traj, g: SpatialGrid, tg: TimeGrid, controls: ControlSet,
     n, m = rho_traj.shape[1:]
 
     values = np.empty((n_steps + 1, n, m))
-    u_idx = np.empty((n_steps, n, m), dtype=np.int16)
-    q_target = np.empty((n_steps, n, m), dtype=np.int16)
+    u_idx = np.empty((n_steps, n, m), dtype=POLICY_DTYPE)
+    q_target = np.empty((n_steps, n, m), dtype=POLICY_DTYPE)
     values[n_steps] = terminal_slice(g, n, tgt)
     for k in range(n_steps - 1, -1, -1):
         v, pol = qvi_backward_step(values[k + 1], rho_traj[k], g, tg.dt, controls, c, p)

@@ -23,7 +23,8 @@ from . import hjb, transport
 from .grid import SpatialGrid, TimeGrid
 from .model import CostParams, FluxParams, TargetSet, critical_density, flux_eval, max_flux
 
-__all__ = ["SolverOptions", "MfgSolution", "Iterate", "initialize_policies", "residuals", "solve"]
+__all__ = ["SolverOptions", "MfgSolution", "Iterate", "initialize_policies", "residuals", "solve",
+           "peak_bytes"]
 
 logger = logging.getLogger(__name__)
 
@@ -148,6 +149,17 @@ def residuals(prev: Iterate, nxt: Iterate, g: SpatialGrid, tg: TimeGrid):
     return policy_change, value_change, density_change
 
 
+def peak_bytes(lanes: int, node_count: int, step_count: int) -> int:
+    """About the most memory `solve` holds at once, in bytes.
+
+    It peaks in `residuals` with five float64 (N+1, n, M) arrays (two value
+    and two density trajectories, one temporary), four int16 policy arrays
+    and a bool mask, 6.125 arrays, rounded up to 7; a step's switch stage
+    adds under two (n, n-1, M) arrays.
+    """
+    return 8 * lanes * node_count * (7 * (step_count + 1) + 2 * (lanes - 1))
+
+
 def solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams, c: CostParams,
           controls: hjb.ControlSet, tgt: TargetSet,
           options: SolverOptions | None = None) -> MfgSolution:
@@ -170,13 +182,15 @@ def solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams, c: CostParams,
     converged = False
     iterations = 0
     for it in range(1, opts.max_outer_iters + 1):
-        run = _forward(rho0, g, tg, p, controls, current.u_idx, current.q_target)
-        if it == 1:
-            rho_mix = run.rho_traj
-        elif opts.mixing == "harmonic":
-            rho_mix = current.rho_traj + (run.rho_traj - current.rho_traj) / it
-        else:
-            rho_mix = opts.damping * run.rho_traj + (1.0 - opts.damping) * current.rho_traj
+        # mixed in place into the new run's buffer: each trajectory is n*M*(N+1) floats
+        rho_mix = _forward(rho0, g, tg, p, controls, current.u_idx, current.q_target).rho_traj
+        if it > 1 and opts.mixing == "harmonic":
+            rho_mix -= current.rho_traj
+            rho_mix /= it
+            rho_mix += current.rho_traj
+        elif it > 1:
+            rho_mix *= opts.damping
+            rho_mix += (1.0 - opts.damping) * current.rho_traj
         back = hjb.solve_backward(rho_mix, g, tg, controls, c, p, tgt)
         nxt = Iterate(back.u_idx, back.q_target, back.values, rho_mix)
 

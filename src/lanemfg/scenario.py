@@ -25,7 +25,7 @@ import numpy as np
 from .baseline import BaselineParams
 from .grid import SpatialGrid, TimeGrid, build_uniform, project_initial
 from .hjb import ControlSet
-from .mfg import MIXING_MODES, SolverOptions
+from .mfg import MIXING_MODES, SolverOptions, peak_bytes
 from .model import CostParams, FluxParams, TargetSet
 
 __all__ = [
@@ -305,17 +305,12 @@ def _check_across(v: dict, problems: list) -> None:
                 problems.append(f"scenario.initial_density.samples[{i}]: x coordinates must "
                                 "be strictly increasing")
     if ok("control_levels"):
-        levels = v["control_levels"]
-        if levels[0] != 0.0 or levels[-1] != 1.0:
-            problems.append("scenario.control_levels: must contain 0 first and 1 last")
-        if any(b <= a for a, b in zip(levels, levels[1:])):
-            problems.append("scenario.control_levels: must be strictly increasing")
+        try:
+            ControlSet(v["control_levels"])
+        except ValueError as exc:
+            problems.append(f"scenario.control_levels: {exc}")
     if ok("lanes", "node_count", "step_count"):
-        # mfg.solve peaks in `residuals` holding six float64 (N+1, n, M)
-        # arrays (two value and three density trajectories, one temporary),
-        # four int16 policy arrays and a bool mask: 7.125 such arrays, rounded
-        # up to 8. The switch stage of a step adds under two (n, n-1, M) ones.
-        need = 8 * lanes * v["node_count"] * (8 * (v["step_count"] + 1) + 2 * (lanes - 1))
+        need = peak_bytes(lanes, v["node_count"], v["step_count"])
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
             problems.append(f"scenario.lanes, scenario.node_count, scenario.step_count: the "

@@ -147,8 +147,9 @@ def shvetsov_source(rho, t_left, t_right, p: FluxParams):
     if np.any(tl <= 0) or np.any(tr <= 0):
         raise ValueError("exchange time scales must be positive")
 
-    dl = flux_eval(rho, p) / tl
-    dr = flux_eval(rho, p) / tr
+    f = flux_eval(rho, p)
+    dl = f / tl
+    dr = f / tr
     src = np.zeros_like(rho)
     # interface with lane alpha-1 (absent for the first lane)
     src[1:] += dl[:-1] - dr[1:]
@@ -169,6 +170,7 @@ def forward_step(rho, vel, src, g: SpatialGrid, dt: float):
     src = np.atleast_2d(np.asarray(src, dtype=float))
     out = np.empty_like(rho)
     outflow = 0.0
+    # per lane: one lane-offset bincount gave the same bits but slowed 3x5001 sweeps by 24-45 %
     for a in range(rho.shape[0]):
         feet = characteristic_feet(vel[a], g, dt)
         out[a], lost = g_operator(rho[a], feet, g)

@@ -1,11 +1,23 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from lanemfg.cli import main, run
+from lanemfg.cli import _write_snapshot, main, run
+from lanemfg.grid import build_uniform
 from lanemfg.scenario import scenario_from_dict, write_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_dict(**overrides):
@@ -39,6 +51,32 @@ def read_csv(path):
     return header, rows
 
 
+def _row_by_row_snapshot(path, t, g, rho, values, u_levels, u_idx, q_target):
+    """The row-by-row CSV writer the column writer replaced: the reference for its bytes.
+
+    values, u_idx and q_target are None in uncontrolled mode.
+    """
+    def fmt(v):
+        return f"{v:.17g}"
+
+    n, m = rho.shape
+    lines = ["t,x,lane,rho,V,u,S"]
+    ts = fmt(t)
+    for a in range(n):
+        for j in range(m):
+            v = values[a, j] if values is not None else 0.0
+            u = u_levels[u_idx[a, j]] if u_idx is not None else 0.0
+            s = int(q_target[a, j]) - (a + 1) if q_target is not None else 0
+            lines.append(
+                f"{ts},{fmt(g.nodes[j])},{a + 1},{fmt(rho[a, j])},{fmt(v)},{fmt(u)},{s}"
+            )
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+# Column entries: the edge values plus any float64, NaN and infinities included.
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, 6.35, 8e15]), st.floats())
+
+
 # Malformed scenario files, each with the names its error message must
 # contain and those it must not.
 BAD_CONFIGS = [
@@ -65,6 +103,8 @@ BAD_CONFIGS = [
     pytest.param(small_dict(drift="literal-gradient"), ["drift"], [], id="removed-drift"),
     pytest.param(small_dict(node_count=10**12), ["node_count", "step_count"], [],
                  id="beyond-memory"),
+    pytest.param(small_dict(control_levels=[i / 39999 for i in range(40000)]),
+                 ["control_levels", "32768"], [], id="too-many-control-levels"),
     pytest.param(None, ["bad.json"], [], id="missing-file"),
     pytest.param(b"\xff\xfe{}", ["bad.json"], [], id="not-utf8"),
 ]
@@ -136,6 +176,72 @@ class TestRun:
         scn = scenario_from_dict(small_dict())
         with pytest.raises(ValueError):
             run(scn, "turbo", tmp_path)
+
+
+class TestWriteSnapshot:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4), m=st.integers(2, 40),
+           inner=st.lists(st.floats(0.001, 0.999), max_size=9, unique=True),
+           t=st.floats(0.0, 1e3), controlled=st.booleans())
+    def test_bytes_equal_row_by_row_writer(self, data, n, m, inner, t, controlled):
+        g = build_uniform(0.0, data.draw(st.floats(0.5, 100.0)), m)
+        u_levels = np.array([0.0, *sorted(inner), 1.0])
+        rho = data.draw(arrays(np.float64, (n, m), elements=_ENTRIES))
+        lanes = np.arange(1, n + 1)[:, None]
+        if controlled:
+            values = data.draw(arrays(np.float64, (n, m), elements=_ENTRIES))
+            u_idx = data.draw(arrays(np.int16, (n, m), elements=st.integers(0, u_levels.size - 1)))
+            q_target = data.draw(arrays(np.int16, (n, m), elements=st.integers(-3, 3))) + lanes
+            cols = (values, u_levels[u_idx], q_target - lanes)
+        else:
+            values = u_idx = q_target = None
+            cols = (np.zeros((n, m)), np.zeros((n, m)), np.zeros((n, m), dtype=int))
+        with tempfile.TemporaryDirectory() as tmp:
+            ref, out = Path(tmp, "ref.csv"), Path(tmp, "out.csv")
+            _row_by_row_snapshot(ref, t, g, rho, values, u_levels, u_idx, q_target)
+            _write_snapshot(out, t, g.nodes, rho, *cols)
+            assert out.read_bytes() == ref.read_bytes()
+
+
+# Runs the CLI in a fresh interpreter with the benchmark's per-layer tracer
+# installed, prints its exit code and dumps the spans into the output directory.
+_TRACE_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from tracer import Tracer
+from lanemfg import cli
+tracer = Tracer()
+tracer.install()
+code = cli.main(sys.argv[2:])
+tracer.dump(sys.argv[-1] + "/trace.json")
+print(code)
+"""
+
+
+class TestTrace:
+    @pytest.mark.parametrize("mode, names", [
+        ("mfg", ["cli.run", "hjb.hamiltonian_step", "transport.g_operator",
+                 "transport.velocity_at", "mfg.residuals"]),
+        ("uncontrolled", ["cli.run", "baseline.uncontrolled_solve", "transport.g_operator",
+                          "transport.velocity_at"]),
+    ], ids=["mfg", "uncontrolled"])
+    def test_tracer_spans_every_layer(self, tmp_path, mode, names):
+        cfg = tmp_path / "scn.json"
+        write_scenario(scenario_from_dict(small_dict(solver={"max_outer_iters": 2})), cfg)
+        out = tmp_path / "out"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _TRACE_SCRIPT, str(ROOT / "perfbench"), "--config", str(cfg),
+             "--mode", mode, "--out-dir", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0"]
+        spans = json.loads((out / "trace.json").read_text())["spans"]
+        counts = Counter(span["name"] for span in spans)
+        assert all(counts[name] > 0 for name in names), counts
 
 
 class TestMain:

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from lanemfg.grid import TimeGrid, build_uniform, locate
 from lanemfg.hjb import (
+    MAX_CONTROL_LEVELS,
     ControlSet,
     hamiltonian_step,
     jump_operator,
@@ -115,6 +116,16 @@ class TestControlSet:
             ControlSet((0.1, 1.0))
         with pytest.raises(ValueError):
             ControlSet((0.0, 0.5, 0.5, 1.0))
+
+    def test_level_count_bounded_by_the_policy_dtype(self):
+        # u_idx is stored as int16: the last of 2**15 levels must round-trip
+        at_bound = ControlSet(tuple(np.linspace(0.0, 1.0, MAX_CONTROL_LEVELS)))
+        g = build_uniform(0.0, 1.0, 3)
+        res = solve_backward(np.zeros((2, 1, 3)), g, TimeGrid(horizon=0.1, step_count=1),
+                             at_bound, C, P, TargetSet(((1.0, 1),)))
+        assert np.all(res.u_idx == MAX_CONTROL_LEVELS - 1)
+        with pytest.raises(ValueError, match="control levels"):
+            ControlSet(tuple(np.linspace(0.0, 1.0, MAX_CONTROL_LEVELS + 1)))
 
 
 class TestTerminalSlice:

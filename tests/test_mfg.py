@@ -1,15 +1,43 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lanemfg import transport
 from lanemfg.grid import TimeGrid, build_uniform
 from lanemfg.hjb import ControlSet, qvi_backward_step, solve_backward
-from lanemfg.mfg import Iterate, SolverOptions, initialize_policies, residuals, solve
+from lanemfg.mfg import (Iterate, SolverOptions, _forward, initialize_policies, peak_bytes,
+                         residuals, solve)
 from lanemfg.model import CostParams, FluxParams, TargetSet
 
 P = FluxParams(a=3.0, b=1.0, rho_max=1.0)
 C = CostParams(kappa=1.0, epsilon=1e-5)
 U = ControlSet(tuple(round(0.1 * i, 1) for i in range(11)))
+
+
+def _mixed_out_of_place(rho0, g, tg, tgt, opts):
+    """The outer loop with each mix built in fresh arrays: the reference for in-place mixing.
+
+    Runs all opts.max_outer_iters iterations; returns the final iterate and
+    the residual history.
+    """
+    back = initialize_policies(rho0, g, tg, U, C, P, tgt)
+    current = Iterate(back.u_idx, back.q_target, back.values,
+                      np.broadcast_to(rho0, (tg.step_count + 1,) + rho0.shape))
+    history = []
+    for it in range(1, opts.max_outer_iters + 1):
+        run = _forward(rho0, g, tg, P, U, current.u_idx, current.q_target)
+        if it == 1:
+            rho_mix = run.rho_traj
+        elif opts.mixing == "harmonic":
+            rho_mix = current.rho_traj + (run.rho_traj - current.rho_traj) / it
+        else:
+            rho_mix = opts.damping * run.rho_traj + (1.0 - opts.damping) * current.rho_traj
+        back = solve_backward(rho_mix, g, tg, U, C, P, tgt)
+        nxt = Iterate(back.u_idx, back.q_target, back.values, rho_mix)
+        history.append(residuals(current, nxt, g, tg))
+        current = nxt
+    return current, history
 
 
 def small_problem(n_lanes=2, m=31, n_steps=15, horizon=3.0):
@@ -119,8 +147,6 @@ class TestSolve:
         g, tg, tgt, rho0 = small_problem(n_lanes=1)
         tgt1 = TargetSet(((10.0, 1),))
         sol = solve(rho0[:1], g, tg, P, C, U, tgt1)
-        from lanemfg.mfg import _forward
-
         run = _forward(rho0[:1], g, tg, P, U, sol.u_traj, sol.q_traj)
         np.testing.assert_array_equal(sol.rho_traj, run.rho_traj)
 
@@ -130,8 +156,6 @@ class TestSolve:
         sol = solve(rho0, g, tg, P, C, U, tgt, options=opts)
         assert sol.converged
         # one more outer iteration reproduces the policies exactly
-        from lanemfg.mfg import _forward
-
         run = _forward(rho0, g, tg, P, U, sol.u_traj, sol.q_traj)
         back = solve_backward(run.rho_traj, g, tg, U, C, P, tgt)
         np.testing.assert_array_equal(back.u_idx, sol.u_traj)
@@ -158,3 +182,33 @@ class TestSolve:
         opts = SolverOptions(max_outer_iters=8, mixing="harmonic")
         sol = solve(rho0, g, tg, P, C, U, tgt, options=opts)
         assert sol.rho_traj.shape == (16, 2, 31)
+
+    @pytest.mark.parametrize("mixing, damping", [("constant", 0.5), ("constant", 0.3),
+                                                 ("harmonic", 0.5)])
+    def test_in_place_mixing_matches_fresh_arrays(self, mixing, damping):
+        g, tg, tgt, rho0 = small_problem()
+        rho0 = 2.0 * rho0  # dense enough that the policies change in every iteration
+        opts = SolverOptions(max_outer_iters=4, tol_policy=0.0, tol_value=0.0,
+                             damping=damping, mixing=mixing)
+        sol = solve(rho0, g, tg, P, C, U, tgt, options=opts)
+        ref, history = _mixed_out_of_place(rho0, g, tg, tgt, opts)
+        assert sol.iterations == 4 and min(r[0] for r in history) > 0.0
+        assert sol.residual_history == history
+        assert sol.value_traj.tobytes() == ref.values.tobytes()
+        np.testing.assert_array_equal(sol.u_traj, ref.u_idx)
+        np.testing.assert_array_equal(sol.q_traj, ref.q_target)
+
+    @pytest.mark.parametrize("mixing", ["constant", "harmonic"])
+    def test_peak_memory_within_estimate(self, mixing):
+        # at the peak, float64 arrays of (N+1, n, M) dominate what solve holds
+        n_lanes, m, n_steps = 2, 401, 200
+        g, tg, tgt, rho0 = small_problem(n_lanes=n_lanes, m=m, n_steps=n_steps, horizon=4.0)
+        opts = SolverOptions(max_outer_iters=3, tol_policy=0.0, tol_value=0.0, mixing=mixing)
+        tracemalloc.start()
+        try:
+            solve(2.0 * rho0, g, tg, P, C, U, tgt, options=opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        trajectory = 8 * n_lanes * m * (n_steps + 1)
+        assert 5 * trajectory < peak <= peak_bytes(n_lanes, m, n_steps)
