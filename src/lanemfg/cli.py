@@ -125,7 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--max-outer-iters", type=int)
     ap.add_argument("--tol-policy", type=float)
     ap.add_argument("--tol-value", type=float)
-    ap.add_argument("--damping", type=float)
     return ap
 
 
@@ -138,7 +137,7 @@ def main(argv=None) -> int:
         else:
             scn = sc.parse_scenario(args.config)
         data = sc.scenario_to_dict(scn)
-        for key in ("max_outer_iters", "tol_policy", "tol_value", "damping"):
+        for key in ("max_outer_iters", "tol_policy", "tol_value"):
             if getattr(args, key) is not None:
                 data["solver"][key] = getattr(args, key)
         if args.snapshots is not None:

@@ -1,14 +1,22 @@
 """Policy iteration for the coupled forward-backward system.
 
 Each outer iteration runs the density forward under the current feedback
-policies, mixes the result into the retained trajectory (damping), and
-re-solves the value function backward on the mixed trajectory to improve
-the policies. Iteration stops when the fraction of changed policy cells
-and the sup-norm value change both fall under their tolerances.
+policies, averages the result into the retained trajectory, and re-solves
+the value function backward on that average to improve the policies.
+Iteration stops when the fraction of changed policy cells and the
+sup-norm value change both fall under their tolerances.
 
-The stored solution densities are a final undamped forward run under the
-final policies, so rho_traj and the policy trajectories correspond
-exactly; the damped mix only steers the backward solves.
+The average is harmonic: at iteration m the new run gets weight 1/m, so
+the retained trajectory is the mean of every forward run so far. This is
+fictitious play for mean-field games (Cardaliaguet & Hadikhanloo 2017).
+Its steps shrink as 1/m, which damps the cycling a fixed-weight blend
+shows on the paper scenario but can slow the final approach to a fixed
+point. When a forward run repeats the mix, the average equals the run bit
+for bit, so exact fixed points are still reached.
+
+The stored solution densities are a final forward run under the final
+policies, so rho_traj and the policy trajectories correspond exactly; the
+average only steers the backward solves.
 """
 
 from __future__ import annotations
@@ -28,36 +36,21 @@ __all__ = ["SolverOptions", "MfgSolution", "Iterate", "initialize_policies", "re
 
 logger = logging.getLogger(__name__)
 
-MIXING_MODES = ("constant", "harmonic")
-
-
 @dataclass(frozen=True)
 class SolverOptions:
-    """Outer-loop controls. tol_value=None resolves to 1e-6 * domain width.
-
-    mixing="constant" blends each new density trajectory with weight
-    `damping`; mixing="harmonic" averages all forward runs seen so far
-    (weight 1/m at iteration m), which converges on problems where the
-    constant blend cycles.
-    """
+    """Outer-loop controls. tol_value=None resolves to 1e-6 * domain width."""
 
     max_outer_iters: int = 50
     tol_policy: float = 1e-3
     tol_value: float | None = None
-    damping: float = 0.5
-    mixing: str = "constant"
 
     def __post_init__(self):
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
         if self.tol_policy < 0:
             raise ValueError("tol_policy must be nonnegative")
         if self.tol_value is not None and self.tol_value < 0:
             raise ValueError("tol_value must be nonnegative")
-        if self.mixing not in MIXING_MODES:
-            raise ValueError(f"mixing must be one of {MIXING_MODES}, got {self.mixing!r}")
 
 
 class Iterate(NamedTuple):
@@ -182,15 +175,12 @@ def solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams, c: CostParams,
     converged = False
     iterations = 0
     for it in range(1, opts.max_outer_iters + 1):
-        # mixed in place into the new run's buffer: each trajectory is n*M*(N+1) floats
+        # averaged in place into the new run's buffer: each trajectory is n*M*(N+1) floats
         rho_mix = _forward(rho0, g, tg, p, controls, current.u_idx, current.q_target).rho_traj
-        if it > 1 and opts.mixing == "harmonic":
+        if it > 1:
             rho_mix -= current.rho_traj
             rho_mix /= it
             rho_mix += current.rho_traj
-        elif it > 1:
-            rho_mix *= opts.damping
-            rho_mix += (1.0 - opts.damping) * current.rho_traj
         back = hjb.solve_backward(rho_mix, g, tg, controls, c, p, tgt)
         nxt = Iterate(back.u_idx, back.q_target, back.values, rho_mix)
 

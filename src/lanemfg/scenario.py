@@ -25,7 +25,7 @@ import numpy as np
 from .baseline import BaselineParams
 from .grid import SpatialGrid, TimeGrid, build_uniform, project_initial
 from .hjb import ControlSet
-from .mfg import MIXING_MODES, SolverOptions, peak_bytes
+from .mfg import SolverOptions, peak_bytes
 from .model import CostParams, FluxParams, TargetSet
 
 __all__ = [
@@ -188,9 +188,10 @@ FIELDS = (
     Field("solver.max_outer_iters", _count(1), SolverOptions.max_outer_iters),
     Field("solver.tol_policy", _nonnegative, SolverOptions.tol_policy),
     Field("solver.tol_value", _nonnegative, SolverOptions.tol_value),
-    Field("solver.damping", _num("a finite number in (0, 1]", lambda x: 0 < x <= 1),
-          SolverOptions.damping),
-    Field("solver.mixing", _choice(MIXING_MODES), SolverOptions.mixing),
+    # accepted for files that name them; harmonic averaging is the only mixing
+    # rule, and damping never acted beside it
+    Field("solver.damping", _num("a finite number in (0, 1]", lambda x: 0 < x <= 1), None),
+    Field("solver.mixing", _choice(("harmonic",)), None),
     Field("snapshot_times", _seq("a list of times", _real),
           lambda v: (0.0, v["horizon"] / 2.0, v["horizon"])),
     Field("exchange.t_left", _seq("a list of rates", _positive), lambda v: (1.0,) * v["lanes"]),
@@ -200,7 +201,7 @@ FIELDS = (
 # The object types that hold the dotted fields, and the keys read but not stored.
 _GROUPS = {"flux": FluxParams, "cost": CostParams, "initial_density": InitialDensity,
            "solver": SolverOptions, "exchange": BaselineParams}
-_INPUT_ONLY = ("drift",)
+_INPUT_ONLY = ("drift", "solver.damping", "solver.mixing")
 _KEYS = {f.key for f in FIELDS} | set(_GROUPS)
 
 
@@ -216,9 +217,7 @@ def _sec6_dict(node_count: int, step_count: int) -> dict:
         "control_levels": [round(0.1 * i, 1) for i in range(11)],
         "target": [[25.0, 1], [25.0, 2], [25.0, 3]],
         "initial_density": {"preset": "paper-sec6"},
-        # harmonic mixing: constant damping dithers on this scenario
-        "solver": {"max_outer_iters": 50, "tol_policy": 1e-3, "tol_value": 2.5e-5,
-                   "damping": 0.5, "mixing": "harmonic"},
+        "solver": {"max_outer_iters": 50, "tol_policy": 1e-3, "tol_value": 2.5e-5},
         "snapshot_times": [0.0, 10.0, 12.5, 25.0],
     }
 
@@ -304,6 +303,10 @@ def _check_across(v: dict, problems: list) -> None:
             if any(b[0] <= a[0] for a, b in zip(table, table[1:])):
                 problems.append(f"scenario.initial_density.samples[{i}]: x coordinates must "
                                 "be strictly increasing")
+    if ok("solver.damping", "solver.mixing") and v["solver.damping"] is not None \
+            and v["solver.mixing"] is None:
+        problems.append('scenario.solver.damping: accepted only beside solver.mixing "harmonic"; '
+                        "the outer loop averages harmonically and has no damping")
     if ok("control_levels"):
         try:
             ControlSet(v["control_levels"])

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lanemfg import cli
 from lanemfg.cli import _write_snapshot, main, run
 from lanemfg.grid import build_uniform
 from lanemfg.scenario import scenario_from_dict, write_scenario
@@ -101,6 +102,10 @@ BAD_CONFIGS = [
                  id="infinite-domain"),
     pytest.param(small_dict(target=[[10.0, True]]), ["target"], [], id="boolean-lane"),
     pytest.param(small_dict(drift="literal-gradient"), ["drift"], [], id="removed-drift"),
+    pytest.param(small_dict(solver={"mixing": "constant"}), ["solver.mixing"], ["solver.damping"],
+                 id="removed-constant-mixing"),
+    pytest.param(small_dict(solver={"damping": 0.5}), ["solver.damping"], [],
+                 id="damping-without-mixing"),
     pytest.param(small_dict(node_count=10**12), ["node_count", "step_count"], [],
                  id="beyond-memory"),
     pytest.param(small_dict(control_levels=[i / 39999 for i in range(40000)]),
@@ -268,6 +273,18 @@ class TestMain:
         for name in not_named:
             assert name not in err
 
+    def test_benchmark_workloads_validate(self, tmp_path, monkeypatch):
+        # every benchmark call, overrides included, must pass the scenario schema
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        from workloads import WORKLOADS
+
+        validated = []
+        monkeypatch.setattr(cli, "run", lambda scn, mode, out_dir: validated.append(scn) or
+                            {"converged": True, "iterations": 0})
+        for wl in WORKLOADS.values():
+            assert main(wl.cli_args(1, tmp_path) + ["--out-dir", str(tmp_path / "out")]) == 0
+        assert len(validated) == len(WORKLOADS)
+
     def test_unknown_preset_exits_one(self, tmp_path):
         assert main(["--preset", "nope", "--out-dir", str(tmp_path)]) == 1
 
@@ -303,7 +320,7 @@ class TestMain:
         out = tmp_path / "out"
         code = main([
             "--config", str(cfg), "--out-dir", str(out),
-            "--max-outer-iters", "2", "--damping", "1.0", "--mode", "mfg",
+            "--max-outer-iters", "2", "--mode", "mfg",
         ])
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())

@@ -298,9 +298,10 @@ def valid_dicts(draw):
             "max_outer_iters": st.integers(1, 100),
             "tol_policy": _finite(0.0, 1.0),
             "tol_value": _finite(0.0, 1.0),
-            "damping": _finite(0.01, 1.0),
-            "mixing": st.sampled_from(["constant", "harmonic"]),
+            "mixing": st.just("harmonic"),
         }))
+        if "mixing" in d["solver"] and draw(st.booleans()):
+            d["solver"]["damping"] = draw(_finite(0.01, 1.0))
     if draw(st.booleans()):
         d["snapshot_times"] = draw(st.lists(_finite(0.0, horizon), max_size=4))
     if draw(st.booleans()):
