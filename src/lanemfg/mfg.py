@@ -99,7 +99,8 @@ def _supply_caps(rho, p, reach):
 
 def _velocity_at(controls, p, u_traj, g, dt):
     """Per-step drift of the forward sweep: the policy's speed u*f(rho), capped by supply."""
-    reach = max(1, int(np.ceil(dt * max_flux(p) / g.dx)))
+    # offsets of node_count or more slice nothing, so a larger reach changes nothing
+    reach = max(1, int(min(g.node_count - 1, np.ceil(dt * max_flux(p) / g.dx))))
     u_levels = controls.values
 
     def velocity(k, rho):

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import reprlib
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
@@ -274,8 +275,18 @@ def _check_across(v: dict, problems: list) -> None:
     lanes, horizon = v["lanes"], v["horizon"]
     if ok("domain"):
         x_lo, x_hi = v["domain"]
+        width = x_hi - x_lo
         if not x_lo < x_hi:
             problems.append(f"scenario.domain: empty interval [{x_lo}, {x_hi}]")
+        elif ok("node_count") and not (math.isfinite(width)
+                                       and width / (v["node_count"] - 1) >= sys.float_info.min):
+            problems.append(f"scenario.domain, scenario.node_count: the width {width} and the "
+                            "cell size must be finite normal floats")
+        # V is at most the width (terminal distance) plus horizon/epsilon (running cost)
+        elif ok("horizon", "cost.epsilon") and not math.isfinite(width
+                                                                 + horizon / v["cost.epsilon"]):
+            problems.append("scenario.domain, scenario.horizon, scenario.cost.epsilon: the "
+                            "value bound width + horizon/epsilon overflows")
     if ok("target"):
         for j, (pos, lane) in enumerate(v["target"]):
             if ok("domain") and not x_lo <= pos <= x_hi:
@@ -303,6 +314,9 @@ def _check_across(v: dict, problems: list) -> None:
             if any(b[0] <= a[0] for a, b in zip(table, table[1:])):
                 problems.append(f"scenario.initial_density.samples[{i}]: x coordinates must "
                                 "be strictly increasing")
+            if ok("flux.rho_max") and any(value > v["flux.rho_max"] for _, value in table):
+                problems.append(f"scenario.initial_density.samples[{i}]: values must not exceed "
+                                f"scenario.flux.rho_max ({v['flux.rho_max']})")
     if ok("solver.damping", "solver.mixing") and v["solver.damping"] is not None \
             and v["solver.mixing"] is None:
         problems.append('scenario.solver.damping: accepted only beside solver.mixing "harmonic"; '

@@ -21,6 +21,13 @@ from lanemfg.scenario import scenario_from_dict, write_scenario
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _src_env():
+    """The environment with the package sources first on PYTHONPATH, for child interpreters."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def small_dict(**overrides):
     d = {
         "lanes": 2,
@@ -108,6 +115,14 @@ BAD_CONFIGS = [
                  id="damping-without-mixing"),
     pytest.param(small_dict(node_count=10**12), ["node_count", "step_count"], [],
                  id="beyond-memory"),
+    pytest.param(small_dict(domain=[-1e308, 1e308]), ["domain", "node_count"], [],
+                 id="overflowing-width"),
+    pytest.param(small_dict(domain=[0.0, 1e-320], target=[[0.0, 1]]), ["domain", "node_count"],
+                 ["target"], id="subnormal-cell-size"),
+    pytest.param(small_dict(initial_density={"samples": [[[0.0, 1e308]], [[0.0, 0.1]]]}),
+                 ["initial_density.samples[0]", "flux.rho_max"], [], id="sample-above-rho-max"),
+    pytest.param(small_dict(horizon=1e308), ["domain", "horizon", "cost.epsilon"], [],
+                 id="overflowing-value-bound"),
     pytest.param(small_dict(control_levels=[i / 39999 for i in range(40000)]),
                  ["control_levels", "32768"], [], id="too-many-control-levels"),
     pytest.param(None, ["bad.json"], [], id="missing-file"),
@@ -234,13 +249,10 @@ class TestTrace:
         cfg = tmp_path / "scn.json"
         write_scenario(scenario_from_dict(small_dict(solver={"max_outer_iters": 2})), cfg)
         out = tmp_path / "out"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                          env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c", _TRACE_SCRIPT, str(ROOT / "perfbench"), "--config", str(cfg),
              "--mode", mode, "--out-dir", str(out)],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=_src_env(), timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0"]
@@ -284,6 +296,18 @@ class TestMain:
         for wl in WORKLOADS.values():
             assert main(wl.cli_args(1, tmp_path) + ["--out-dir", str(tmp_path / "out")]) == 0
         assert len(validated) == len(WORKLOADS)
+
+    def test_long_step_finishes(self, tmp_path):
+        # a foot may cross ~1e8 cells per step here; the supply cap must not loop over them
+        cfg = tmp_path / "scn.json"
+        cfg.write_text(json.dumps(small_dict(horizon=1e9, step_count=10, snapshot_times=None,
+                                             solver={"max_outer_iters": 2})))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lanemfg.cli", "--config", str(cfg),
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, env=_src_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_unknown_preset_exits_one(self, tmp_path):
         assert main(["--preset", "nope", "--out-dir", str(tmp_path)]) == 1

@@ -273,13 +273,14 @@ def valid_dicts(draw):
     horizon = draw(_finite(0.01, 50.0))
     levels = sorted(set(draw(st.lists(_finite(0.01, 0.99), max_size=4))))
     lane_no = st.integers(1, lanes)
+    flux = {k: draw(_finite(0.01, 10.0)) for k in ("a", "b", "rho_max")}
     d = {
         "lanes": lanes,
         "domain": [x_lo, x_hi],
         "horizon": horizon,
         "node_count": draw(st.integers(2, 60)),
         "step_count": draw(st.integers(1, 60)),
-        "flux": {k: draw(_finite(0.01, 10.0)) for k in ("a", "b", "rho_max")},
+        "flux": flux,
         "cost": {k: draw(_finite(1e-6, 10.0)) for k in ("kappa", "epsilon")},
         "control_levels": [0.0, *levels, 1.0],
         "target": draw(st.lists(st.tuples(_finite(x_lo, x_hi), lane_no).map(list),
@@ -289,7 +290,7 @@ def valid_dicts(draw):
         d["initial_density"] = {"preset": "paper-sec6"}
     else:
         table = st.lists(_finite(x_lo, x_hi), min_size=1, max_size=4, unique=True).flatmap(
-            lambda xs: st.tuples(*[_finite(0.0, 1.0).map(lambda v, x=x: [x, v])
+            lambda xs: st.tuples(*[_finite(0.0, flux["rho_max"]).map(lambda v, x=x: [x, v])
                                    for x in sorted(xs)]).map(list))
         d["initial_density"] = {"samples": draw(st.lists(table, min_size=lanes,
                                                          max_size=lanes))}
