@@ -309,6 +309,22 @@ class TestMain:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_solver_failure_exits_two(self, tmp_path, monkeypatch, capsys):
+        def fail(scn, mode, out_dir):
+            raise FloatingPointError("overflow in the sweep")
+
+        monkeypatch.setattr(cli, "run", fail)
+        assert main(["--preset", "paper-sec6-coarse", "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "runtime error: overflow in the sweep\n"
+
+    def test_non_convergence_warns_and_exits_zero(self, tmp_path, capsys):
+        cfg = tmp_path / "scn.json"
+        cfg.write_text(json.dumps(small_dict(solver={"max_outer_iters": 1, "tol_policy": 0.0,
+                                                     "tol_value": 0.0})))
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+        assert ("warning: not converged after 1 iterations (summary flagged)"
+                in capsys.readouterr().err)
+
     def test_unknown_preset_exits_one(self, tmp_path):
         assert main(["--preset", "nope", "--out-dir", str(tmp_path)]) == 1
 

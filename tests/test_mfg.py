@@ -163,6 +163,11 @@ class TestSolve:
         assert not sol.converged
         assert sol.iterations == 1
 
+    def test_rate_condition_warning(self, caplog):
+        g, tg, tgt, rho0 = small_problem(n_steps=2)  # dt = 1.5, so dt*a = 4.5
+        solve(rho0, g, tg, P, C, U, tgt, options=SolverOptions(max_outer_iters=1))
+        assert "dt*a = 4.5 > 1" in caplog.text
+
     def test_mass_ledger_every_level(self):
         g, tg, tgt, rho0 = small_problem()
         sol = solve(rho0, g, tg, P, C, U, tgt)
