@@ -6,13 +6,10 @@ the value function backward on that average to improve the policies.
 Iteration stops when the fraction of changed policy cells and the
 sup-norm value change both fall under their tolerances.
 
-The average is harmonic: at iteration m the new run gets weight 1/m, so
-the retained trajectory is the mean of every forward run so far. This is
-fictitious play for mean-field games (Cardaliaguet & Hadikhanloo 2017).
-Its steps shrink as 1/m, which damps the cycling a fixed-weight blend
-shows on the paper scenario but can slow the final approach to a fixed
-point. When a forward run repeats the mix, the average equals the run bit
-for bit, so exact fixed points are still reached.
+The average is harmonic, as in fictitious play (Cardaliaguet & Hadikhanloo
+2017): the run of iteration m enters with weight 1/m. The shrinking steps
+damp the cycling of a fixed-weight blend but can slow the last approach to
+a fixed point; a run that repeats the average leaves it unchanged, bit for bit.
 
 The stored solution densities are a final forward run under the final
 policies, so rho_traj and the policy trajectories correspond exactly; the
@@ -35,6 +32,7 @@ __all__ = ["SolverOptions", "MfgSolution", "Iterate", "initialize_policies", "re
            "peak_bytes"]
 
 logger = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -174,7 +172,6 @@ def solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams, c: CostParams,
 
     history: list[tuple[float, float, float]] = []
     converged = False
-    iterations = 0
     for it in range(1, opts.max_outer_iters + 1):
         # averaged in place into the new run's buffer: each trajectory is n*M*(N+1) floats
         rho_mix = _forward(rho0, g, tg, p, controls, current.u_idx, current.q_target).rho_traj
@@ -188,13 +185,12 @@ def solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams, c: CostParams,
         res = residuals(current, nxt, g, tg)
         history.append(res)
         current = nxt
-        iterations = it
         if res[0] <= opts.tol_policy and res[1] <= tol_value:
             converged = True
             break
 
     if not converged:
-        logger.warning("policy iteration did not converge within %d iterations", iterations)
+        logger.warning("policy iteration did not converge within %d iterations", len(history))
 
     final = _forward(rho0, g, tg, p, controls, current.u_idx, current.q_target)
     return MfgSolution(
@@ -202,7 +198,7 @@ def solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams, c: CostParams,
         value_traj=current.values,
         u_traj=current.u_idx,
         q_traj=current.q_target,
-        iterations=iterations,
+        iterations=len(history),
         converged=converged,
         residual_history=history,
         outflow_cum=final.outflow_cum,

@@ -184,15 +184,14 @@ FIELDS = (
         "one sample table per lane",
         _seq("a non-empty list of [x, value] pairs", _seq("[x, value]", (_real, _nonnegative)),
              least=1)), None),
-    # accepted for files that name it; optimal control is the only drift
+    # accepted for files that name them: optimal control is the only drift and harmonic
+    # averaging the only mixing rule, beside which damping never acted
     Field("drift", _choice(("optimal-control",)), "optimal-control"),
+    Field("solver.damping", _num("a finite number in (0, 1]", lambda x: 0 < x <= 1), None),
+    Field("solver.mixing", _choice(("harmonic",)), None),
     Field("solver.max_outer_iters", _count(1), SolverOptions.max_outer_iters),
     Field("solver.tol_policy", _nonnegative, SolverOptions.tol_policy),
     Field("solver.tol_value", _nonnegative, SolverOptions.tol_value),
-    # accepted for files that name them; harmonic averaging is the only mixing
-    # rule, and damping never acted beside it
-    Field("solver.damping", _num("a finite number in (0, 1]", lambda x: 0 < x <= 1), None),
-    Field("solver.mixing", _choice(("harmonic",)), None),
     Field("snapshot_times", _seq("a list of times", _real),
           lambda v: (0.0, v["horizon"] / 2.0, v["horizon"])),
     Field("exchange.t_left", _seq("a list of rates", _positive), lambda v: (1.0,) * v["lanes"]),
@@ -279,14 +278,12 @@ def _check_across(v: dict, problems: list) -> None:
         if not x_lo < x_hi:
             problems.append(f"scenario.domain: empty interval [{x_lo}, {x_hi}]")
         elif ok("node_count") and not (math.isfinite(width)
-                                       and width / (v["node_count"] - 1) >= sys.float_info.min):
+                                       and width / sys.float_info.min >= v["node_count"] - 1):
             problems.append(f"scenario.domain, scenario.node_count: the width {width} and the "
                             "cell size must be finite normal floats")
-        # V is at most the width (terminal distance) plus horizon/epsilon (running cost)
-        elif ok("horizon", "cost.epsilon") and not math.isfinite(width
-                                                                 + horizon / v["cost.epsilon"]):
-            problems.append("scenario.domain, scenario.horizon, scenario.cost.epsilon: the "
-                            "value bound width + horizon/epsilon overflows")
+        elif ok("horizon", "cost.epsilon") and not math.isfinite(width + horizon / v["cost.epsilon"]):
+            problems.append("scenario.domain, scenario.horizon, scenario.cost.epsilon: "
+                            "width + horizon/epsilon, the bound on V, overflows")
     if ok("target"):
         for j, (pos, lane) in enumerate(v["target"]):
             if ok("domain") and not x_lo <= pos <= x_hi:
@@ -317,10 +314,8 @@ def _check_across(v: dict, problems: list) -> None:
             if ok("flux.rho_max") and any(value > v["flux.rho_max"] for _, value in table):
                 problems.append(f"scenario.initial_density.samples[{i}]: values must not exceed "
                                 f"scenario.flux.rho_max ({v['flux.rho_max']})")
-    if ok("solver.damping", "solver.mixing") and v["solver.damping"] is not None \
-            and v["solver.mixing"] is None:
-        problems.append('scenario.solver.damping: accepted only beside solver.mixing "harmonic"; '
-                        "the outer loop averages harmonically and has no damping")
+    if v["solver.mixing"] is None and v["solver.damping"] not in (None, _BAD):
+        problems.append('scenario.solver.damping: accepted only beside solver.mixing "harmonic"')
     if ok("control_levels"):
         try:
             ControlSet(v["control_levels"])
