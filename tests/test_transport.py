@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 
 from lanemfg.grid import TimeGrid, build_uniform
@@ -231,8 +234,8 @@ class TestForwardStep:
         assert run.outflow_cum[-1] == 0.0
 
     def test_positivity_under_rate_condition(self):
-        # v*dt/dx + a*dt <= 1 guarantees the sink never outruns the
-        # transported mass, so no clamping occurs
+        # a*dt <= 1 keeps rho + dt*src >= 0, since a donor loses at most
+        # dt*a*rho, and the push keeps it so: no clamping occurs
         g = build_uniform(0.0, 10.0, 101)
         dt = 0.05
         vmax = g.dx * (1.0 - dt * P.a) / dt
@@ -248,7 +251,7 @@ class TestForwardStep:
             assert np.all(out >= 0.0)
 
     def test_clamp_accounting(self):
-        # a sink on a node whose transport fully vacates it goes negative;
+        # a sink beyond a node's density goes negative before the push;
         # the clamp restores positivity and the added mass is recorded
         g = build_uniform(0.0, 4.0, 5)
         rho = np.array([[0.0, 0.25, 0.0, 0.0, 0.0]])
@@ -282,6 +285,31 @@ class TestForwardStep:
         perm = [2, 0, 1]
         out_p, _ = forward_step(rho[perm], vel[perm], src[perm], g, dt=0.1)
         np.testing.assert_array_equal(out_p, out[perm])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), m=st.integers(2, 30),
+       a=st.floats(0.1, 10.0), b=st.floats(0.1, 10.0), rho_max=st.floats(0.1, 10.0))
+def test_forward_step_invariants(data, n, m, a, b, rho_max):
+    # a*dt <= 1 with room for the two roundings in rho + dt*src
+    dt = data.draw(st.floats(1e-3, (1.0 - 1e-9) / a))
+    p = FluxParams(a=a, b=b, rho_max=rho_max)
+    g = build_uniform(0.0, data.draw(st.floats(0.5, 50.0)), m)
+    rho = data.draw(arrays(np.float64, (n, m), elements=st.floats(0.0, rho_max)))
+    vel = data.draw(arrays(np.float64, (n, m), elements=st.floats(-1e6, 1e6)))
+    q = data.draw(arrays(np.int64, (n, m), elements=st.integers(1, n)))
+    rates = arrays(np.float64, n, elements=st.floats(1e-3, 1e3))
+    t_left, t_right = data.draw(rates), data.draw(rates)
+    for src in (shvetsov_source(rho, t_left, t_right, p), mfg_source(rho, q, p)):
+        scale = max(1.0, float(np.abs(src).max()))
+        assert np.abs(src.sum(axis=0)).max() <= 1e-14 * scale
+        out, info = forward_step(rho, vel, src, g, dt)
+        before, after = total_mass(rho, g)[1], total_mass(out, g)[1]
+        assert after == pytest.approx(before - info.outflow + info.clamped,
+                                      rel=1e-12, abs=1e-12 * dt * scale * g.width)
+    # the last step ran under mfg_source, which never takes a donor below zero
+    assert info.clamped == 0.0 and not info.clamp_flagged
+    assert np.all(out >= 0.0)
 
 
 class TestTotalMass:
