@@ -17,7 +17,6 @@ from .grid import SpatialGrid, TimeGrid, basis_weights, build_uniform, p1_interp
 from .hjb import (
     BackwardResult,
     ControlSet,
-    PolicySlice,
     hamiltonian_step,
     jump_operator,
     qvi_backward_step,
@@ -38,7 +37,6 @@ from .model import (
 )
 from .scenario import Scenario, ScenarioError, parse_scenario, preset, write_scenario
 from .transport import (
-    characteristic_feet,
     forward_step,
     g_operator,
     mfg_source,

@@ -123,8 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out-dir", default="out", help="output directory (created if missing)")
     ap.add_argument("--snapshots", help="comma-separated snapshot times, overrides scenario")
     ap.add_argument("--max-outer-iters", type=int)
-    ap.add_argument("--tol-policy", type=float)
-    ap.add_argument("--tol-value", type=float)
     return ap
 
 
@@ -137,9 +135,8 @@ def main(argv=None) -> int:
         else:
             scn = sc.parse_scenario(args.config)
         data = sc.scenario_to_dict(scn)
-        for key in ("max_outer_iters", "tol_policy", "tol_value"):
-            if getattr(args, key) is not None:
-                data["solver"][key] = getattr(args, key)
+        if args.max_outer_iters is not None:
+            data["solver"]["max_outer_iters"] = args.max_outer_iters
         if args.snapshots is not None:
             data["snapshot_times"] = [_number_or_text(t) for t in args.snapshots.split(",")]
         scn = sc.scenario_from_dict(data)

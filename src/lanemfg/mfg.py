@@ -2,25 +2,25 @@
 
 Each outer iteration runs the density forward under the current feedback
 policies, averages the result into the retained trajectory, and re-solves
-the value function backward on that average to improve the policies.
-Iteration stops when the fraction of changed policy cells and the
-sup-norm value change both fall under their tolerances.
+the value function backward on that average to improve the policies; the
+iterate is that solve's BackwardResult. Iteration stops when the fraction
+of changed policy cells and the sup-norm value change both fall under
+their tolerances.
 
 The average is harmonic, as in fictitious play (Cardaliaguet & Hadikhanloo
 2017): the run of iteration m enters with weight 1/m. The shrinking steps
 damp the cycling of a fixed-weight blend but can slow the last approach to
 a fixed point; a run that repeats the average leaves it unchanged, bit for bit.
 
-The stored solution densities are a final forward run under the final
-policies, so rho_traj and the policy trajectories correspond exactly; the
-average only steers the backward solves.
+The solution is the final forward run under the final policies, a
+TransportRun that holds those policies too, so its densities and policies
+correspond exactly; the average only steers the backward solves.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from . import hjb, transport
 from .grid import SpatialGrid, TimeGrid
 from .model import CostParams, FluxParams, TargetSet, critical_density, flux_eval, max_flux
 
-__all__ = ["SolverOptions", "MfgSolution", "Iterate", "initialize_policies", "residuals", "solve",
+__all__ = ["SolverOptions", "MfgSolution", "initialize_policies", "residuals", "solve",
            "peak_bytes"]
 
 logger = logging.getLogger(__name__)
@@ -51,27 +51,16 @@ class SolverOptions:
             raise ValueError("tol_value must be nonnegative")
 
 
-class Iterate(NamedTuple):
-    """One outer iterate: policies, values and the density they were built on."""
+@dataclass(kw_only=True)
+class MfgSolution(transport.TransportRun):
+    """The final forward run plus the policies it ran under and their values."""
 
-    u_idx: np.ndarray  # (N, n, M)
-    q_target: np.ndarray  # (N, n, M)
-    values: np.ndarray  # (N+1, n, M)
-    rho_traj: np.ndarray  # (N+1, n, M)
-
-
-@dataclass
-class MfgSolution:
-    rho_traj: np.ndarray  # (N+1, n, M)
     value_traj: np.ndarray  # (N+1, n, M)
     u_traj: np.ndarray  # (N, n, M) control indices
     q_traj: np.ndarray  # (N, n, M) switch targets, 1-based
     iterations: int
     converged: bool
-    residual_history: list[tuple[float, float, float]] = field(default_factory=list)
-    outflow_cum: np.ndarray | None = None  # (N+1,)
-    clamped_cum: np.ndarray | None = None  # (N+1,)
-    clamp_flagged: bool = False
+    residual_history: list[tuple[float, float, float]]
 
 
 def _supply_caps(rho, p, reach):
@@ -132,7 +121,7 @@ def _abs_diff(a, b):
     return np.abs(d, out=d)
 
 
-def residuals(prev: Iterate, nxt: Iterate, g: SpatialGrid, tg: TimeGrid):
+def residuals(prev: hjb.BackwardResult, nxt: hjb.BackwardResult, g: SpatialGrid, tg: TimeGrid):
     """(policy-change fraction, value sup-norm change, density L1 change)."""
     changed = (prev.u_idx != nxt.u_idx) | (prev.q_target != nxt.q_target)
     policy_change = float(changed.mean())
@@ -166,9 +155,7 @@ def solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams, c: CostParams,
         logger.warning("dt*a = %.3g > 1: positivity clamp may engage", tg.dt * p.a)
 
     rho0 = np.atleast_2d(np.asarray(rho0, dtype=float))
-    back = initialize_policies(rho0, g, tg, controls, c, p, tgt)
-    frozen = np.broadcast_to(rho0, (tg.step_count + 1,) + rho0.shape)
-    current = Iterate(back.u_idx, back.q_target, back.values, frozen)
+    current = initialize_policies(rho0, g, tg, controls, c, p, tgt)
 
     history: list[tuple[float, float, float]] = []
     converged = False
@@ -179,9 +166,7 @@ def solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams, c: CostParams,
             rho_mix -= current.rho_traj
             rho_mix /= it
             rho_mix += current.rho_traj
-        back = hjb.solve_backward(rho_mix, g, tg, controls, c, p, tgt)
-        nxt = Iterate(back.u_idx, back.q_target, back.values, rho_mix)
-
+        nxt = hjb.solve_backward(rho_mix, g, tg, controls, c, p, tgt)
         res = residuals(current, nxt, g, tg)
         history.append(res)
         current = nxt
@@ -193,15 +178,6 @@ def solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams, c: CostParams,
         logger.warning("policy iteration did not converge within %d iterations", len(history))
 
     final = _forward(rho0, g, tg, p, controls, current.u_idx, current.q_target)
-    return MfgSolution(
-        rho_traj=final.rho_traj,
-        value_traj=current.values,
-        u_traj=current.u_idx,
-        q_traj=current.q_target,
-        iterations=len(history),
-        converged=converged,
-        residual_history=history,
-        outflow_cum=final.outflow_cum,
-        clamped_cum=final.clamped_cum,
-        clamp_flagged=final.clamp_flagged,
-    )
+    return MfgSolution(**vars(final), value_traj=current.values, u_traj=current.u_idx,
+                       q_traj=current.q_target, iterations=len(history), converged=converged,
+                       residual_history=history)

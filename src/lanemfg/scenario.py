@@ -27,7 +27,7 @@ from .baseline import BaselineParams
 from .grid import SpatialGrid, TimeGrid, build_uniform, project_initial
 from .hjb import ControlSet
 from .mfg import SolverOptions, peak_bytes
-from .model import CostParams, FluxParams, TargetSet
+from .model import CostParams, FluxParams, TargetSet, max_flux
 
 __all__ = [
     "ScenarioError",
@@ -81,14 +81,6 @@ class Scenario:
     solver: SolverOptions
     snapshot_times: tuple[float, ...]
     exchange: BaselineParams
-
-    @property
-    def dx(self) -> float:
-        return (self.domain[1] - self.domain[0]) / (self.node_count - 1)
-
-    @property
-    def dt(self) -> float:
-        return self.horizon / self.step_count
 
 
 # ---- coercers: (raw value, path, problems) -> value, or _BAD after recording a problem
@@ -151,6 +143,8 @@ def _seq(what: str, each, least: int = 0) -> Coercer:
 
 _real = _num()
 _positive = _num("a finite positive number", lambda x: x > 0)
+# a subnormal exchange time overflows the rate f/t of the uncontrolled model
+_normal = _num(f"a finite number >= {sys.float_info.min}", lambda x: x >= sys.float_info.min)
 _nonnegative = _num("a finite nonnegative number", lambda x: x >= 0)
 
 
@@ -194,8 +188,8 @@ FIELDS = (
     Field("solver.tol_value", _nonnegative, SolverOptions.tol_value),
     Field("snapshot_times", _seq("a list of times", _real),
           lambda v: (0.0, v["horizon"] / 2.0, v["horizon"])),
-    Field("exchange.t_left", _seq("a list of rates", _positive), lambda v: (1.0,) * v["lanes"]),
-    Field("exchange.t_right", _seq("a list of rates", _positive), lambda v: (1.0,) * v["lanes"]),
+    Field("exchange.t_left", _seq("a list of rates", _normal), lambda v: (1.0,) * v["lanes"]),
+    Field("exchange.t_right", _seq("a list of rates", _normal), lambda v: (1.0,) * v["lanes"]),
 )
 
 # The object types that hold the dotted fields, and the keys read but not stored.
@@ -277,10 +271,11 @@ def _check_across(v: dict, problems: list) -> None:
         width = x_hi - x_lo
         if not x_lo < x_hi:
             problems.append(f"scenario.domain: empty interval [{x_lo}, {x_hi}]")
+        # project_initial squares a Simpson spacing, dx/16, which must stay a normal float
         elif ok("node_count") and not (math.isfinite(width)
-                                       and width / sys.float_info.min >= v["node_count"] - 1):
-            problems.append(f"scenario.domain, scenario.node_count: the width {width} and the "
-                            "cell size must be finite normal floats")
+                                       and width / (16 * 2.0**-511) >= v["node_count"] - 1):
+            problems.append(f"scenario.domain, scenario.node_count: the width {width} must be "
+                            "finite and the cell size at least 16 * 2**-511 (2.4e-153)")
         elif ok("horizon", "cost.epsilon") and not math.isfinite(width + horizon / v["cost.epsilon"]):
             problems.append("scenario.domain, scenario.horizon, scenario.cost.epsilon: "
                             "width + horizon/epsilon, the bound on V, overflows")
@@ -328,6 +323,13 @@ def _check_across(v: dict, problems: list) -> None:
             problems.append(f"scenario.lanes, scenario.node_count, scenario.step_count: the "
                             f"solver needs about {reprlib.repr(need >> 30)} GiB, more than the "
                             f"{have / 2**30:.3g} GiB of physical memory")
+        elif ok("horizon", "flux.a", "flux.b", "flux.rho_max"):
+            # one step of exchange adds up to ~dt*max_flux*lanes: speed b*that, foot offset dt*speed
+            dt = horizon / v["step_count"]  # step_count fits a float once memory does
+            flux = FluxParams(v["flux.a"], v["flux.b"], v["flux.rho_max"])
+            if not math.isfinite(dt * dt * flux.b * max_flux(flux) * lanes):
+                problems.append("scenario.horizon, scenario.step_count, scenario.flux, "
+                                "scenario.lanes: dt*dt*b*max_flux*lanes overflows")
 
 
 def scenario_from_dict(data: dict) -> Scenario:

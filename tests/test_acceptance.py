@@ -118,8 +118,8 @@ def test_criterion_4_monotonicity():
         rho = rng.uniform(0.0, 1.0, (2, 50))
         lo = rng.uniform(0.0, 10.0, (2, 50))
         hi = lo + rng.uniform(0.0, 3.0, (2, 50))
-        v_lo, _ = qvi_backward_step(lo, rho, g, 0.1, controls, C, P)
-        v_hi, _ = qvi_backward_step(hi, rho, g, 0.1, controls, C, P)
+        v_lo, _, _ = qvi_backward_step(lo, rho, g, 0.1, controls, C, P)
+        v_hi, _, _ = qvi_backward_step(hi, rho, g, 0.1, controls, C, P)
         worst = max(worst, float((v_lo - v_hi).max()))
     _record(4, worst <= 1e-12, f"worst monotonicity violation {worst:.2e}")
 

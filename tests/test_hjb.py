@@ -286,29 +286,29 @@ class TestQviBackwardStep:
     def test_single_lane_reduces_to_hamiltonian(self):
         rho = np.full((1, 5), 0.3)
         v_next = np.array([[4.0, 3.0, 2.0, 1.0, 0.0]])
-        w, u_idx = hamiltonian_step(v_next, rho, self.G, 0.1, U3, C, P)
-        v, pol = qvi_backward_step(v_next, rho, self.G, 0.1, U3, C, P)
+        w, u_ham = hamiltonian_step(v_next, rho, self.G, 0.1, U3, C, P)
+        v, u_idx, q_target = qvi_backward_step(v_next, rho, self.G, 0.1, U3, C, P)
         np.testing.assert_array_equal(v, w)
-        np.testing.assert_array_equal(pol.u_idx, u_idx)
-        np.testing.assert_array_equal(pol.q_target, np.ones((1, 5), dtype=int))
+        np.testing.assert_array_equal(u_idx, u_ham)
+        np.testing.assert_array_equal(q_target, np.ones((1, 5), dtype=int))
 
     def test_huge_kappa_decouples(self):
         big = CostParams(kappa=1e6, epsilon=1e-5)
         rho = np.array([[0.2] * 5, [0.6] * 5])
         v_next = np.stack([np.linspace(4, 0, 5), np.linspace(8, 0, 5)])
-        v, pol = qvi_backward_step(v_next, rho, self.G, 0.1, U3, big, P)
+        v, _, q_target = qvi_backward_step(v_next, rho, self.G, 0.1, U3, big, P)
         w, _ = hamiltonian_step(v_next, rho, self.G, 0.1, U3, big, P)
         np.testing.assert_array_equal(v, w)
-        assert np.all(pol.q_target == np.array([[1], [2]]))
+        assert np.all(q_target == np.array([[1], [2]]))
 
     def test_blocked_lane_tracks_free_lane_plus_kappa(self):
         # lane 2 jammed: huge running cost makes switching to lane 1 optimal
         rho = np.stack([np.zeros(5), np.ones(5)])
         v_next = np.stack([np.linspace(4, 0, 5)] * 2)
-        v, pol = qvi_backward_step(v_next, rho, self.G, 0.1, U3, C, P)
+        v, _, q_target = qvi_backward_step(v_next, rho, self.G, 0.1, U3, C, P)
         np.testing.assert_allclose(v[1], v[0] + C.kappa, rtol=1e-14)
-        assert np.all(pol.q_target[1] == 1)
-        assert np.all(pol.q_target[0] == 1)
+        assert np.all(q_target[1] == 1)
+        assert np.all(q_target[0] == 1)
 
     def test_matches_direct_min_over_all_lanes(self):
         # the settled fixed point equals min_b { W(b) + kappa*|a-b| }
@@ -317,7 +317,7 @@ class TestQviBackwardStep:
             n = rng.randint(2, 5)
             rho = rng.uniform(0.0, 1.0, (n, 5))
             v_next = rng.uniform(0.0, 10.0, (n, 5))
-            v, _ = qvi_backward_step(v_next, rho, self.G, 0.1, U3, C, P)
+            v, _, _ = qvi_backward_step(v_next, rho, self.G, 0.1, U3, C, P)
             w, _ = hamiltonian_step(v_next, rho, self.G, 0.1, U3, C, P)
             direct = np.min(
                 w[None, :, :] + C.kappa * np.abs(np.subtract.outer(np.arange(n), np.arange(n)))[:, :, None],
@@ -331,7 +331,7 @@ class TestQviBackwardStep:
             n = rng.randint(2, 4)
             rho = rng.uniform(0.0, 1.0, (n, 5))
             v_next = rng.uniform(0.0, 10.0, (n, 5))
-            v, _ = qvi_backward_step(v_next, rho, self.G, 0.1, U3, C, P)
+            v, _, _ = qvi_backward_step(v_next, rho, self.G, 0.1, U3, C, P)
             for a in range(n):
                 for b in range(n):
                     if a != b:
@@ -344,8 +344,8 @@ class TestQviBackwardStep:
         for _ in range(40):
             lo = rng.uniform(0.0, 10.0, (2, 50))
             hi = lo + rng.uniform(0.0, 2.0, (2, 50))
-            v_lo, _ = qvi_backward_step(lo, rho, g, 0.1, U3, C, P)
-            v_hi, _ = qvi_backward_step(hi, rho, g, 0.1, U3, C, P)
+            v_lo, _, _ = qvi_backward_step(lo, rho, g, 0.1, U3, C, P)
+            v_hi, _, _ = qvi_backward_step(hi, rho, g, 0.1, U3, C, P)
             assert np.all(v_lo <= v_hi + 1e-12)
 
     @settings(max_examples=300, deadline=None)
@@ -359,17 +359,17 @@ class TestQviBackwardStep:
         c = CostParams(kappa=kappa, epsilon=1e-5)
         # dt = 0 puts every foot on its node: the Hamiltonian branch is w itself
         np.testing.assert_array_equal(hamiltonian_step(w, rho, self.G, 0.0, U3, c, P)[0], w)
-        v, pol = qvi_backward_step(w, rho, self.G, 0.0, U3, c, P)
+        v, _, q_target = qvi_backward_step(w, rho, self.G, 0.0, U3, c, P)
         # one pass of the loop is the closed form, operation for operation
         v_one, q_one = _iterated_closure(w, kappa, passes=1)
-        np.testing.assert_array_equal(pol.q_target, q_one)
+        np.testing.assert_array_equal(q_target, q_one)
         np.testing.assert_array_equal(v, v_one)
         # further passes lower V by rounding only: a chain pays (W + kappa) + kappa
         # where the direct jump pays W + 2*kappa (see test_exact_tie_takes_no_switch)
         v_ref, _ = _iterated_closure(w, kappa)
         np.testing.assert_allclose(v, v_ref, rtol=0.0, atol=1e-12)
-        a, j = np.nonzero(pol.q_target != np.arange(1, n + 1)[:, None])
-        q = pol.q_target[a, j]
+        a, j = np.nonzero(q_target != np.arange(1, n + 1)[:, None])
+        q = q_target[a, j]
         np.testing.assert_array_equal(v[a, j], w[q - 1, j] + kappa * np.abs(a + 1 - q))
         assert np.all(v[a, j] < w[a, j])
 
@@ -379,8 +379,8 @@ class TestQviBackwardStep:
         # closure takes as a switch; the direct jump finds no gain and stays.
         w = np.repeat([[-1.5], [0.0], [0.0], [0.0], [0.0], [-0.5]], 5, axis=1)
         c = CostParams(kappa=0.2, epsilon=1e-5)
-        v, pol = qvi_backward_step(w, np.full((6, 5), 0.3), self.G, 0.0, U3, c, P)
-        np.testing.assert_array_equal(pol.q_target[:, 0], [1, 1, 1, 1, 1, 6])
+        v, _, q_target = qvi_backward_step(w, np.full((6, 5), 0.3), self.G, 0.0, U3, c, P)
+        np.testing.assert_array_equal(q_target[:, 0], [1, 1, 1, 1, 1, 6])
         assert v[5, 0] == -0.5
         assert _iterated_closure(w, 0.2)[0][5, 0] < -0.5
 
@@ -388,8 +388,8 @@ class TestQviBackwardStep:
         # identical lanes: switching only adds cost, so no switch anywhere
         rho = np.full((3, 5), 0.3)
         v_next = np.stack([np.linspace(4, 0, 5)] * 3)
-        _, pol = qvi_backward_step(v_next, rho, self.G, 0.1, U3, C, P)
-        np.testing.assert_array_equal(pol.q_target, [[1] * 5, [2] * 5, [3] * 5])
+        _, _, q_target = qvi_backward_step(v_next, rho, self.G, 0.1, U3, C, P)
+        np.testing.assert_array_equal(q_target, [[1] * 5, [2] * 5, [3] * 5])
 
 
 class TestSolveBackward:

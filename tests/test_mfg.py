@@ -6,8 +6,7 @@ import pytest
 from lanemfg import transport
 from lanemfg.grid import TimeGrid, build_uniform
 from lanemfg.hjb import ControlSet, qvi_backward_step, solve_backward
-from lanemfg.mfg import (Iterate, SolverOptions, _forward, initialize_policies, peak_bytes,
-                         residuals, solve)
+from lanemfg.mfg import SolverOptions, _forward, initialize_policies, peak_bytes, residuals, solve
 from lanemfg.model import CostParams, FluxParams, TargetSet
 
 P = FluxParams(a=3.0, b=1.0, rho_max=1.0)
@@ -21,9 +20,7 @@ def _mixed_out_of_place(rho0, g, tg, tgt, opts):
     Runs all opts.max_outer_iters iterations; returns the final iterate and
     the residual history.
     """
-    back = initialize_policies(rho0, g, tg, U, C, P, tgt)
-    current = Iterate(back.u_idx, back.q_target, back.values,
-                      np.broadcast_to(rho0, (tg.step_count + 1,) + rho0.shape))
+    current = initialize_policies(rho0, g, tg, U, C, P, tgt)
     history = []
     for it in range(1, opts.max_outer_iters + 1):
         run = _forward(rho0, g, tg, P, U, current.u_idx, current.q_target)
@@ -31,8 +28,7 @@ def _mixed_out_of_place(rho0, g, tg, tgt, opts):
             rho_mix = run.rho_traj
         else:
             rho_mix = current.rho_traj + (run.rho_traj - current.rho_traj) / it
-        back = solve_backward(rho_mix, g, tg, U, C, P, tgt)
-        nxt = Iterate(back.u_idx, back.q_target, back.values, rho_mix)
+        nxt = solve_backward(rho_mix, g, tg, U, C, P, tgt)
         history.append(residuals(current, nxt, g, tg))
         current = nxt
     return current, history
@@ -70,6 +66,8 @@ class TestInitializePolicies:
         assert back.values.shape == (16, 2, 31)
         assert back.u_idx.shape == (15, 2, 31)
         assert back.q_target.min() >= 1 and back.q_target.max() <= 2
+        # the density the policies answer: rho0 at every level
+        np.testing.assert_array_equal(back.rho_traj, np.broadcast_to(rho0, (16, 2, 31)))
 
     def test_empty_road_goes_full_speed_no_switch(self):
         g, tg, tgt, _ = small_problem()
@@ -83,29 +81,23 @@ class TestInitializePolicies:
 class TestResiduals:
     def test_identical_iterates(self):
         g, tg, tgt, rho0 = small_problem()
-        back = initialize_policies(rho0, g, tg, U, C, P, tgt)
-        frozen = np.broadcast_to(rho0, (tg.step_count + 1,) + rho0.shape)
-        it = Iterate(back.u_idx, back.q_target, back.values, frozen)
+        it = initialize_policies(rho0, g, tg, U, C, P, tgt)
         assert residuals(it, it, g, tg) == (0.0, 0.0, 0.0)
 
     def test_single_cell_flip_fraction(self):
         g, tg, tgt, rho0 = small_problem()
-        back = initialize_policies(rho0, g, tg, U, C, P, tgt)
-        frozen = np.broadcast_to(rho0, (tg.step_count + 1,) + rho0.shape)
-        a = Iterate(back.u_idx, back.q_target, back.values, frozen)
-        u2 = back.u_idx.copy()
+        a = initialize_policies(rho0, g, tg, U, C, P, tgt)
+        u2 = a.u_idx.copy()
         u2[3, 1, 17] = 0 if u2[3, 1, 17] != 0 else 1
-        b = Iterate(u2, back.q_target, back.values, frozen)
+        b = a._replace(u_idx=u2)
         pol, val, den = residuals(a, b, g, tg)
         assert pol == pytest.approx(1.0 / u2.size)
         assert val == 0.0 and den == 0.0
 
     def test_constant_value_shift(self):
         g, tg, tgt, rho0 = small_problem()
-        back = initialize_policies(rho0, g, tg, U, C, P, tgt)
-        frozen = np.broadcast_to(rho0, (tg.step_count + 1,) + rho0.shape)
-        a = Iterate(back.u_idx, back.q_target, back.values, frozen)
-        b = Iterate(back.u_idx, back.q_target, back.values + 2.5, frozen)
+        a = initialize_policies(rho0, g, tg, U, C, P, tgt)
+        b = a._replace(values=a.values + 2.5)
         pol, val, den = residuals(a, b, g, tg)
         assert pol == 0.0
         assert val == pytest.approx(2.5)
@@ -118,10 +110,10 @@ class TestArgminShiftInvariance:
         rng = np.random.RandomState(14)
         rho = rng.uniform(0.0, 0.8, (2, 31))
         v_next = rng.uniform(0.0, 8.0, (2, 31))
-        _, pol = qvi_backward_step(v_next, rho, g, tg.dt, U, C, P)
-        _, pol_shift = qvi_backward_step(v_next + 5.0, rho, g, tg.dt, U, C, P)
-        np.testing.assert_array_equal(pol.u_idx, pol_shift.u_idx)
-        np.testing.assert_array_equal(pol.q_target, pol_shift.q_target)
+        _, u_idx, q_target = qvi_backward_step(v_next, rho, g, tg.dt, U, C, P)
+        _, u_shift, q_shift = qvi_backward_step(v_next + 5.0, rho, g, tg.dt, U, C, P)
+        np.testing.assert_array_equal(u_idx, u_shift)
+        np.testing.assert_array_equal(q_target, q_shift)
 
 
 class TestSolve:
@@ -143,7 +135,10 @@ class TestSolve:
         tgt1 = TargetSet(((10.0, 1),))
         sol = solve(rho0[:1], g, tg, P, C, U, tgt1)
         run = _forward(rho0[:1], g, tg, P, U, sol.u_traj, sol.q_traj)
+        assert isinstance(sol, transport.TransportRun)
         np.testing.assert_array_equal(sol.rho_traj, run.rho_traj)
+        np.testing.assert_array_equal(sol.outflow_cum, run.outflow_cum)
+        np.testing.assert_array_equal(sol.clamped_cum, run.clamped_cum)
 
     def test_fixed_point_under_zero_tolerance(self):
         g, tg, tgt, rho0 = small_problem()

@@ -104,6 +104,8 @@ class TestSwitchingCost:
                 CostParams(kappa=kappa, epsilon=1e-5)
         # an infinite kappa is a valid sentinel disabling switching
         assert CostParams(kappa=math.inf, epsilon=1e-5).kappa == math.inf
+        with pytest.raises(ValueError, match="epsilon"):
+            CostParams(kappa=1.0, epsilon=0.0)
 
 
 class TestRunningCost:

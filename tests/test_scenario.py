@@ -47,8 +47,8 @@ class TestPresets:
         assert s.lanes == 3
         assert s.domain == (0.0, 25.0)
         assert s.horizon == 25.0
-        assert s.dx == pytest.approx(0.005)
-        assert s.dt == pytest.approx(0.01)
+        assert spatial_grid(s).dx == pytest.approx(0.005)
+        assert time_grid(s).dt == pytest.approx(0.01)
         assert s.flux.a == 3.0 and s.flux.b == 1.0 and s.flux.rho_max == 1.0
         assert s.cost.kappa == 1.0 and s.cost.epsilon == 1e-5
         assert s.control_levels == tuple(round(0.1 * i, 1) for i in range(11))
@@ -58,8 +58,8 @@ class TestPresets:
     def test_coarse_preset_resolution(self):
         s = preset("paper-sec6-coarse")
         assert s.node_count == 501 and s.step_count == 500
-        assert s.dx == pytest.approx(0.05)
-        assert s.dt == pytest.approx(0.05)
+        assert spatial_grid(s).dx == pytest.approx(0.05)
+        assert time_grid(s).dt == pytest.approx(0.05)
 
     def test_unknown_preset(self):
         with pytest.raises(ScenarioError):
