@@ -11,9 +11,12 @@ control set (pay dt * running cost, move to the foot x_j + dt*u*f(rho_a),
 interpolate V_next there) and the second term is the switching obstacle.
 It refers to V at the SAME time level, but kappa*|a - b| is a metric, so
 by the triangle inequality a chain of jumps never beats the direct jump:
-the solution is V(x_j, a) = min_b W(x_j, b) + kappa*|a - b|, one pass of
-the switch operator over W (the L1 lower envelope of Felzenszwalb &
-Huttenlocher, "Distance transforms of sampled functions", 2012).
+the solution is V(x_j, a) = min_b W(x_j, b) + kappa*|a - b| over every
+lane b, the own lane at cost 0, one pass of the switch operator over W
+(the L1 lower envelope of Felzenszwalb & Huttenlocher, "Distance
+transforms of sampled functions", 2012). Ties go to the own lane, then
+the smaller |b - a|, then the smaller b, so a lane switches only where
+a switch strictly improves on W.
 
 The Hamiltonian minimization reads V_next at only the top and the
 second-highest foot of a cell wherever that decides the argmin exactly,
@@ -93,29 +96,29 @@ def terminal_slice(g: SpatialGrid, n_lanes: int, tgt: TargetSet) -> np.ndarray:
 
 
 def jump_operator(v, c: CostParams):
-    """Best switch value min over b != a of V(x, b) + kappa*|a - b|.
+    """The switch stage: min over every lane b of V(x, b) + kappa*|a - b|.
 
-    Returns (psi, target) where target holds the 1-based argmin lane.
-    Ties prefer the smaller |b - a|, then the smaller b, also when every
-    candidate is +inf (kappa = inf). With a single lane the min is over
-    the empty set: psi is +inf and target the own lane.
+    Returns (psi, target) where target holds the 1-based argmin lane. The
+    own lane costs 0 and wins every tie, so psi < v exactly where some
+    switch strictly improves; other ties prefer the smaller |b - a|, then
+    the smaller b. With a single lane, or kappa = inf, psi is v and the
+    target the own lane.
     """
     v = np.atleast_2d(np.asarray(v, dtype=float))
     n = v.shape[0]
-    if n == 1:
-        return np.full_like(v, np.inf), np.ones(v.shape, dtype=np.int64)
-    # row a: the other lanes in tie order (b = a has the row's smallest key, a < n)
+    # row a: every lane in tie order, the own lane first (b = a has the row's least key)
     lanes = np.arange(n)
     dist = np.abs(lanes[:, None] - lanes)
-    others = np.argsort(dist * n + lanes, axis=1)[:, 1:]
-    cand = v[others]  # (n, n-1, M), updated in place: fresh pages are slow to fault in
-    cand += switching_cost(lanes[:, None], others, c)[:, :, None]
+    order = np.argsort(dist * n + lanes, axis=1)
+    cand = v[order]  # (n, n, M), updated in place: fresh pages are slow to fault in
+    # the own column keeps v bit for bit, and kappa = inf never meets inf*0
+    cand[:, 1:] += switching_cost(lanes[:, None], order[:, 1:], c)[:, :, None]
     psi = cand.min(axis=1)
     # target: the least tie rank among the candidates that attain psi (a rank
     # counts n more where its candidate exceeds psi); int32 keeps these small
-    rank = np.min(np.arange(n - 1, dtype=np.int32)[:, None]
+    rank = np.min(np.arange(n, dtype=np.int32)[:, None]
                   + np.int32(n) * (cand > psi[:, None]), axis=1)
-    target = np.take(others + 1, rank + (n - 1) * lanes[:, None])
+    target = np.take(order + 1, rank + n * lanes[:, None])
     return psi, target
 
 
@@ -212,17 +215,15 @@ def qvi_backward_step(v_next, rho, g: SpatialGrid, dt: float, controls: ControlS
                       c: CostParams, p: FluxParams):
     """One backward step of the obstacle problem, in closed form.
 
-    V is the Hamiltonian branch W lowered by one switch; the module
-    docstring says why one pass is exact. Ties follow jump_operator
-    (nearer lane, then lower lane), and q_target stays at the own lane
-    wherever no switch strictly improves on W. Returns (V, u_idx, q_target).
+    V is the switch stage over the Hamiltonian branch W, one lower envelope
+    over every lane; the module docstring says why one pass is exact. Ties
+    follow jump_operator (own lane, then nearer lane, then lower lane), so
+    q_target stays at the own lane wherever no switch strictly improves on
+    W. Returns (V, u_idx, q_target).
     """
     w, u_idx = hamiltonian_step(v_next, rho, g, dt, controls, c, p)
-    psi, tgt = jump_operator(w, c)
-    improved = psi < w
-    own = np.arange(1, w.shape[0] + 1)[:, None]
-    q_target = np.where(improved, tgt, own)
-    return np.where(improved, psi, w), u_idx, q_target
+    values, q_target = jump_operator(w, c)
+    return values, u_idx, q_target
 
 
 def solve_backward(rho_traj, g: SpatialGrid, tg: TimeGrid, controls: ControlSet,

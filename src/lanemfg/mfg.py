@@ -63,8 +63,8 @@ class MfgSolution(transport.TransportRun):
     residual_history: list[tuple[float, float, float]]
 
 
-def _supply_caps(rho, p, reach):
-    """Rightward speeds admitted by the cells downstream.
+def _capped_speed(rho, p, reach):
+    """The forward speed f(rho), capped by the speeds the cells downstream admit.
 
     `reach` is the number of cells a foot can traverse in one step; the
     admitted speed is the most restrictive over that window, since the cap
@@ -73,15 +73,15 @@ def _supply_caps(rho, p, reach):
     own f. Beyond the domain the road is treated as free. Without this cap
     the frozen velocity field lets compressive fronts pile mass far beyond
     the jam density, which the underlying conservation law (whose entropy
-    solutions satisfy a maximum principle) never does.
+    solutions satisfy a maximum principle) never does. A negative f on an
+    over-jammed cell is kept: it relaxes the excess backward instead of
+    freezing it.
     """
-    f = flux_eval(rho, p)
-    rbar = critical_density(p)
-    admit = np.where(rho <= rbar, np.inf, np.maximum(f, 0.0))
-    sup_r = np.full_like(f, np.inf)
+    speed = flux_eval(rho, p)
+    admit = np.where(rho <= critical_density(p), np.inf, np.maximum(speed, 0.0))
     for off in range(1, reach + 1):
-        sup_r[:, :-off] = np.minimum(sup_r[:, :-off], admit[:, off:])
-    return sup_r
+        np.minimum(speed[:, :-off], admit[:, off:], out=speed[:, :-off])
+    return speed
 
 
 def _velocity_at(controls, p, u_traj, g, dt):
@@ -91,9 +91,7 @@ def _velocity_at(controls, p, u_traj, g, dt):
     u_levels = controls.values
 
     def velocity(k, rho):
-        # negative f on an over-jammed cell is kept: it relaxes the
-        # excess backward instead of freezing it
-        return u_levels[u_traj[k]] * np.minimum(flux_eval(rho, p), _supply_caps(rho, p, reach))
+        return u_levels[u_traj[k]] * _capped_speed(rho, p, reach)
 
     return velocity
 
@@ -136,9 +134,9 @@ def peak_bytes(lanes: int, node_count: int, step_count: int) -> int:
     It peaks in `residuals` with five float64 (N+1, n, M) arrays (two value
     and two density trajectories, one temporary), four int16 policy arrays
     and a bool mask, 6.125 arrays, rounded up to 7; a step's switch stage
-    adds under two (n, n-1, M) arrays.
+    adds under two (n, n, M) arrays.
     """
-    return 8 * lanes * node_count * (7 * (step_count + 1) + 2 * (lanes - 1))
+    return 8 * lanes * node_count * (7 * (step_count + 1) + 2 * lanes)
 
 
 def solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams, c: CostParams,

@@ -78,13 +78,12 @@ def g_operator(w, feet, g: SpatialGrid):
     exited = (feet < g.x_lo - grace) | (feet > g.x_hi + grace)
     outflow = float((w[exited] * cw[exited]).sum())
 
-    kept = ~exited
-    # feet inside the grace zone clamp onto the boundary node via locate
-    i, t = locate(feet[kept], g)
-    wk = w[kept]
-    ratio = cw[kept]
-    acc = np.bincount(i, weights=wk * (1.0 - t) * (ratio / cw[i]), minlength=g.node_count)
-    acc += np.bincount(i + 1, weights=wk * t * (ratio / cw[i + 1]), minlength=g.node_count)
+    # feet inside the grace zone clamp onto the boundary node via locate; an
+    # exited foot deposits +0.0, which leaves the bits of its bin unchanged
+    i, t = locate(feet, g)
+    w = np.where(exited, 0.0, w)
+    acc = np.bincount(i, weights=w * (1.0 - t) * (cw / cw[i]), minlength=g.node_count)
+    acc += np.bincount(i + 1, weights=w * t * (cw / cw[i + 1]), minlength=g.node_count)
     return acc, outflow
 
 
@@ -107,16 +106,16 @@ def mfg_source(rho, q, p: FluxParams):
 
     flux = np.maximum(flux_eval(rho, p), 0.0)
     room = np.clip((p.rho_max - rho) / ((1.0 - EXCHANGE_FADE_START) * p.rho_max), 0.0, 1.0)
-    src = np.zeros_like(rho)
-    lanes = np.arange(1, n + 1)[:, None]
-    switching = q != lanes
-    for a in range(n):
-        cols = np.nonzero(switching[a])[0]
-        tgt = q[a, cols] - 1
-        transfer = flux[a, cols] * room[tgt, cols]
-        src[a, cols] -= transfer
-        np.add.at(src, (tgt, cols), transfer)
-    return src
+    # the switching cells in lane-major order; each donor's loss and gain,
+    # interleaved, keep every node's terms in donor order, as a lane loop sums them
+    a, j = np.nonzero(q != np.arange(1, n + 1)[:, None])
+    tgt = q[a, j] - 1
+    transfer = flux[a, j] * room[tgt, j]
+    m = rho.shape[1]
+    # stacked beside the intp donors, int16 targets widen before the product
+    bins = np.stack((a, tgt), axis=1) * m + j[:, None]
+    terms = np.stack((-transfer, transfer), axis=1)
+    return np.bincount(bins.ravel(), weights=terms.ravel(), minlength=n * m).reshape(n, m)
 
 
 def shvetsov_source(rho, t_left, t_right, p: FluxParams):

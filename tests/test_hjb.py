@@ -151,22 +151,29 @@ class TestJumpOperator:
         assert tgt[0, 0] == 2
 
     def test_two_lane_pure_cost(self):
+        # equal values: a switch costs kappa and never strictly improves
         v = np.zeros((2, 1))
         psi, tgt = jump_operator(v, C)
-        np.testing.assert_allclose(psi, [[1.0], [1.0]])
-        assert tgt[0, 0] == 2 and tgt[1, 0] == 1
+        np.testing.assert_array_equal(psi, v)
+        np.testing.assert_array_equal(tgt, [[1], [2]])
 
     def test_tie_prefers_nearer_lane(self):
-        # from lane 3: V(2)+1 == V(1)+2 == 2; the nearer lane 2 wins
-        v = np.array([[0.0], [1.0], [2.0]])
+        # from lane 3: V(2)+1 == V(1)+2 == 2 < V(3) = 5; the nearer lane 2 wins
+        v = np.array([[0.0], [1.0], [5.0]])
         psi, tgt = jump_operator(v, C)
-        assert psi[2, 0] == pytest.approx(2.0)
+        assert psi[2, 0] == 2.0
         assert tgt[2, 0] == 2
 
-    def test_single_lane_empty_min(self):
-        psi, tgt = jump_operator(np.array([[3.0, 4.0]]), C)
-        assert np.all(np.isinf(psi))
-        np.testing.assert_array_equal(tgt, [[1, 1]])
+    @pytest.mark.parametrize("v, kappa", [
+        ([[3.0, 4.0]], 1.0),
+        ([[5.0, 0.0], [1.0, 2.0], [9.0, math.inf]], math.inf),
+    ], ids=["single-lane", "infinite-kappa"])
+    def test_lane_stays(self, v, kappa):
+        v = np.array(v)
+        psi, tgt = jump_operator(v, CostParams(kappa=kappa, epsilon=1e-5))
+        np.testing.assert_array_equal(psi, v)
+        np.testing.assert_array_equal(tgt, np.broadcast_to(np.arange(1, v.shape[0] + 1)[:, None],
+                                                           v.shape))
 
 
 class TestHamiltonianStep:

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 
-from lanemfg.grid import TimeGrid, build_uniform
+from lanemfg.grid import TimeGrid, build_uniform, locate
 from lanemfg.model import FluxParams, flux_eval
 from lanemfg.transport import (
     CLAMP_WARN_FRACTION,
+    EXCHANGE_FADE_START,
     forward_step,
     g_operator,
     mfg_source,
@@ -126,6 +127,83 @@ class TestMfgSource:
             mfg_source(rho, np.zeros((2, 3), dtype=int), P)
         with pytest.raises(ValueError, match="shape"):
             mfg_source(rho, np.ones((2, 4), dtype=int), P)
+
+
+def _mfg_source_per_lane(rho, q, p):
+    """mfg_source as a loop over donor lanes: the summation-order reference."""
+    n = rho.shape[0]
+    flux = np.maximum(flux_eval(rho, p), 0.0)
+    room = np.clip((p.rho_max - rho) / ((1.0 - EXCHANGE_FADE_START) * p.rho_max), 0.0, 1.0)
+    src = np.zeros_like(rho)
+    for a in range(n):
+        cols = np.nonzero(q[a] != a + 1)[0]
+        tgt = q[a, cols] - 1
+        transfer = flux[a, cols] * room[tgt, cols]
+        src[a, cols] -= transfer
+        np.add.at(src, (tgt, cols), transfer)
+    return src
+
+
+def _g_operator_compacted(w, feet, g):
+    """g_operator that deposits only the kept feet: the reference for the +0.0 deposits."""
+    cw = g.cell_widths
+    grace = 0.5 * g.dx
+    exited = (feet < g.x_lo - grace) | (feet > g.x_hi + grace)
+    outflow = float((w[exited] * cw[exited]).sum())
+    kept = ~exited
+    i, t = locate(feet[kept], g)
+    wk, ratio = w[kept], cw[kept]
+    acc = np.bincount(i, weights=wk * (1.0 - t) * (ratio / cw[i]), minlength=g.node_count)
+    acc += np.bincount(i + 1, weights=wk * t * (ratio / cw[i + 1]), minlength=g.node_count)
+    return acc, outflow
+
+
+class TestBitwiseReferences:
+    def test_source_sums_each_node_in_donor_order(self):
+        # lane 3 receives t1 from lane 1 and t2 from lane 2, and donates t3 to
+        # lane 1; the loop sums (t1 + t2) - t3, losses first would give
+        # (-t3 + t1) + t2, and here the two differ in the last bit
+        rho = np.array([[0.15], [0.35], [0.2]])
+        q = np.array([[3], [3], [1]])
+        t1, t2, t3 = flux_eval(rho[:, 0], P)  # every receiving lane is far from the jam
+        assert (t1 + t2) - t3 != (-t3 + t1) + t2
+        src = mfg_source(rho, q, P)
+        assert src[2, 0] == (t1 + t2) - t3
+        np.testing.assert_array_equal(src, _mfg_source_per_lane(rho, q, P))
+
+    def test_source_with_int16_targets_on_a_long_road(self):
+        # lane index times node count passes the int16 range of the policies
+        m = 40_000
+        rho = np.full((2, m), 0.125)
+        q = np.full((2, m), 2, dtype=np.int16)
+        np.testing.assert_array_equal(mfg_source(rho, q, P), _mfg_source_per_lane(rho, q, P))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), m=st.integers(2, 40),
+           share=st.floats(0.0, 1.0))
+    def test_source_matches_lane_loop(self, data, n, m, share):
+        rho = data.draw(arrays(np.float64, (n, m), elements=st.floats(-0.2, 1.3)))
+        draws = data.draw(arrays(np.float64, (n, m), elements=st.floats(0.0, 1.0)))
+        others = data.draw(arrays(np.int16, (n, m), elements=st.integers(1, n)))
+        q = np.where(draws < share, others, np.arange(1, n + 1, dtype=np.int16)[:, None])
+        src, ref = mfg_source(rho, q, P), _mfg_source_per_lane(rho, q, P)
+        np.testing.assert_array_equal(src, ref)
+        np.testing.assert_array_equal(np.signbit(src), np.signbit(ref))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), m=st.integers(2, 40), width=st.floats(0.5, 50.0))
+    def test_g_operator_matches_compaction(self, data, m, width):
+        g = build_uniform(0.0, width, m)
+        w = data.draw(arrays(np.float64, m, elements=st.floats(0.0, 2.0)))
+        # offsets in cells: 0.4 stays in the grace zone at an end node, 0.6 leaves
+        shifts = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-0.6, -0.4, 0.4, 0.6]),
+                           st.sampled_from([-np.inf, np.inf]))
+        feet = g.nodes + g.dx * data.draw(arrays(np.float64, m, elements=shifts))
+        out, lost = g_operator(w, feet, g)
+        ref, ref_lost = _g_operator_compacted(w, feet, g)
+        np.testing.assert_array_equal(out, ref)
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
+        assert lost == ref_lost
 
 
 class TestShvetsovSource:
