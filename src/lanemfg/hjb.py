@@ -7,8 +7,9 @@ problem
     V(x_j, a) = min( W(x_j, a),  min_{b != a} V(x_j, b) + kappa*|a - b| )
 
 where W is the semi-Lagrangian Hamiltonian minimization over a finite
-control set (pay dt * running cost, move to the foot x_j + dt*u*f(rho_a),
-interpolate V_next there) and the second term is the switching obstacle.
+control set (pay dt * running cost, move to the foot x_j + dt*u*s(rho_a)
+at the forward sweep's speed s = model.transport_speed, interpolate V_next
+there) and the second term is the switching obstacle.
 It refers to V at the SAME time level, but kappa*|a - b| is a metric, so
 by the triangle inequality a chain of jumps never beats the direct jump:
 the solution is V(x_j, a) = min_b W(x_j, b) + kappa*|a - b| over every
@@ -43,8 +44,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import SpatialGrid, TimeGrid, locate
-from .model import (CostParams, FluxParams, TargetSet, flux_eval, running_cost, switching_cost,
-                    terminal_value)
+from .model import (CostParams, FluxParams, TargetSet, running_cost, switching_cost,
+                    terminal_value, transport_speed)
 
 __all__ = [
     "ControlSet",
@@ -131,12 +132,12 @@ def hamiltonian_step(v_next, rho, g: SpatialGrid, dt: float, controls: ControlSe
                      c: CostParams, p: FluxParams):
     """Semi-Lagrangian minimization over the control set, per node and lane.
 
-    The movement speed is u*f(rho), taken literally: it is nonnegative in
-    every valid state and turns negative only on a congested overshoot
-    (rho > rho_max), where probing leftward feet lets the minimizer relax
-    over-compressed mass backward instead of freezing it. Feet beyond the
-    domain interpolate the boundary node value. Ties in the control argmin
-    resolve to the largest u.
+    The movement speed is u*transport_speed(rho), the forward sweep's: it
+    is nonnegative in every valid state and turns negative only on a
+    congested overshoot (rho > rho_max), where probing leftward feet lets
+    the minimizer relax over-compressed mass backward instead of freezing
+    it. Feet beyond the domain interpolate the boundary node value. Ties
+    in the control argmin resolve to the largest u.
 
     Each cell first locates only its top foot (u = 1, which ControlSet
     fixes as the last level) and its second-highest foot. The located
@@ -148,7 +149,7 @@ def hamiltonian_step(v_next, rho, g: SpatialGrid, dt: float, controls: ControlSe
     - home: the top foot locates to the same (i, t) as the node. Every
       foot then does, the candidates are the same number, and the tie
       rule picks the top. Zero speed and vanishing densities land here.
-    - falling with margin: f(rho) > 0, V_next does not rise over the
+    - falling with margin: the speed is > 0, V_next does not rise over the
       nodes from the node's cell to the top foot's right node, and
       top <= second - 2E with E = 2**-50 * max|V_next| on the lane (plus
       the least normal float, for underflow). The exact P1 value at any
@@ -174,7 +175,7 @@ def hamiltonian_step(v_next, rho, g: SpatialGrid, dt: float, controls: ControlSe
     u = controls.values
     k = u.size
 
-    speed = flux_eval(rho, p)
+    speed = transport_speed(rho, p, dt, g.dx)
     ell = running_cost(rho, c, p)
     step = dt * speed
     v_flat = v_next.reshape(-1)

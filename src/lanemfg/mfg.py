@@ -3,9 +3,11 @@
 Each outer iteration runs the density forward under the current feedback
 policies, averages the result into the retained trajectory, and re-solves
 the value function backward on that average to improve the policies; the
-iterate is that solve's BackwardResult. Iteration stops when the fraction
-of changed policy cells and the sup-norm value change both fall under
-their tolerances.
+iterate is that solve's BackwardResult. Both sweeps move at
+model.transport_speed, so each backward solve best-responds to the
+dynamics the forward run simulates. Iteration stops when the fraction of
+changed policy cells and the sup-norm value change both fall under their
+tolerances.
 
 The average is harmonic, as in fictitious play (Cardaliaguet & Hadikhanloo
 2017): the run of iteration m enters with weight 1/m. The shrinking steps
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import hjb, transport
 from .grid import SpatialGrid, TimeGrid
-from .model import CostParams, FluxParams, TargetSet, critical_density, flux_eval, max_flux
+from .model import CostParams, FluxParams, TargetSet, transport_speed
 
 __all__ = ["SolverOptions", "MfgSolution", "initialize_policies", "residuals", "solve",
            "peak_bytes"]
@@ -63,41 +65,9 @@ class MfgSolution(transport.TransportRun):
     residual_history: list[tuple[float, float, float]]
 
 
-def _capped_speed(rho, p, reach):
-    """The forward speed f(rho), capped by the speeds the cells downstream admit.
-
-    `reach` is the number of cells a foot can traverse in one step; the
-    admitted speed is the most restrictive over that window, since the cap
-    is useless if feet can hop over a jammed cell. A free cell (density
-    below critical) does not constrain; a congested one admits at most its
-    own f. Beyond the domain the road is treated as free. Without this cap
-    the frozen velocity field lets compressive fronts pile mass far beyond
-    the jam density, which the underlying conservation law (whose entropy
-    solutions satisfy a maximum principle) never does. A negative f on an
-    over-jammed cell is kept: it relaxes the excess backward instead of
-    freezing it.
-    """
-    speed = flux_eval(rho, p)
-    admit = np.where(rho <= critical_density(p), np.inf, np.maximum(speed, 0.0))
-    for off in range(1, reach + 1):
-        np.minimum(speed[:, :-off], admit[:, off:], out=speed[:, :-off])
-    return speed
-
-
-def _velocity_at(controls, p, u_traj, g, dt):
-    """Per-step drift of the forward sweep: the policy's speed u*f(rho), capped by supply."""
-    # offsets of node_count or more slice nothing, so a larger reach changes nothing
-    reach = max(1, int(min(g.node_count - 1, np.ceil(dt * max_flux(p) / g.dx))))
-    u_levels = controls.values
-
-    def velocity(k, rho):
-        return u_levels[u_traj[k]] * _capped_speed(rho, p, reach)
-
-    return velocity
-
-
 def _forward(rho0, g, tg, p, controls, u_traj, q_traj) -> transport.TransportRun:
-    velocity = _velocity_at(controls, p, u_traj, g, tg.dt)
+    def velocity(k, rho):
+        return controls.values[u_traj[k]] * transport_speed(rho, p, tg.dt, g.dx)
 
     def source(k, rho):
         return transport.mfg_source(rho, q_traj[k], p)

@@ -1,9 +1,10 @@
 """Model functions for the multi-lane traffic control problem.
 
 Everything here is a pure function of its arguments: the triangular
-fundamental diagram, the lane-switching cost, the congestion running cost
-and the distance-to-target terminal cost. All evaluators accept scalars or
-numpy arrays and broadcast.
+fundamental diagram, the transport speed of both sweeps (f capped by
+downstream supply, along a node axis), the lane-switching cost, the
+congestion running cost and the distance-to-target terminal cost. The
+other evaluators accept scalars or numpy arrays and broadcast.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ __all__ = [
     "flux_eval",
     "critical_density",
     "max_flux",
+    "transport_speed",
     "switching_cost",
     "running_cost",
     "terminal_value",
@@ -92,6 +94,31 @@ def critical_density(p: FluxParams) -> float:
 def max_flux(p: FluxParams) -> float:
     """Peak flux a*b/(a+b) * rho_max, attained at the critical density."""
     return p.a * p.b / (p.a + p.b) * p.rho_max
+
+
+def transport_speed(rho, p: FluxParams, dt: float, dx: float):
+    """f(rho) capped by the speed every congested cell within reach downstream admits.
+
+    Both sweeps move at u times this speed. The reach along the last axis,
+    max(1, min(M - 1, ceil(dt*max_flux/dx))) cells, is what a foot can
+    traverse in one step; the cap takes the minimum over that window, since
+    a cap is useless if feet can hop over a jammed cell. A free cell (density
+    at most critical) admits any speed, a congested one at most its own f,
+    and the road beyond the domain is free. Without the cap a frozen
+    velocity field piles compressive fronts far beyond the jam density,
+    which the conservation law (whose entropy solutions satisfy a maximum
+    principle) never does. A negative f on an over-jammed cell is kept: it
+    relaxes the excess backward instead of freezing it.
+    """
+    rho = np.asarray(rho, dtype=float)
+    m = rho.shape[-1]
+    # offsets of M or more slice nothing, so a larger reach changes nothing
+    reach = max(1, int(min(m - 1, np.ceil(dt * max_flux(p) / dx))))
+    speed = flux_eval(rho, p)
+    admit = np.where(rho <= critical_density(p), np.inf, np.maximum(speed, 0.0))
+    for off in range(1, reach + 1):
+        np.minimum(speed[..., :-off], admit[..., off:], out=speed[..., :-off])
+    return speed
 
 
 def switching_cost(alpha, beta, c: CostParams):

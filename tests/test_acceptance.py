@@ -9,6 +9,7 @@ criteria pass.
 Run with: pytest tests/test_acceptance.py -v -s
 """
 
+import math
 import time
 
 import numpy as np
@@ -18,7 +19,8 @@ from lanemfg import cli, mfg, transport
 from lanemfg.baseline import BaselineParams, uncontrolled_solve
 from lanemfg.grid import TimeGrid, basis_weights, build_uniform, p1_interpolate
 from lanemfg.hjb import ControlSet, qvi_backward_step, solve_backward
-from lanemfg.model import CostParams, FluxParams, TargetSet, flux_eval, running_cost
+from lanemfg.model import (CostParams, FluxParams, TargetSet, critical_density, flux_eval, max_flux,
+                           running_cost)
 from lanemfg.scenario import (
     control_set,
     initial_field,
@@ -136,6 +138,15 @@ def test_criterion_5_brute_force_oracle():
         [0.50, 0.80, 0.15, 0.60, 0.35],
     ])
     terminal = np.abs(g.nodes - 4.0)
+    reach = max(1, math.ceil(dt * max_flux(P) / g.dx))
+
+    def capped_speed(beta, j):
+        # f, capped by every congested node within reach downstream (none past the end)
+        speed = flux_eval(rho[beta, j], P)
+        for i in range(j + 1, min(j + reach, 4) + 1):
+            if rho[beta, i] > critical_density(P):
+                speed = min(speed, max(flux_eval(rho[beta, i], P), 0.0))
+        return speed
 
     def brute(k, j, alpha):
         if k == n_steps:
@@ -145,7 +156,7 @@ def test_criterion_5_brute_force_oracle():
         for beta in range(2):
             chain = C.kappa * abs(alpha - beta)
             ell = running_cost(rho[beta, j], C, P)
-            speed = flux_eval(rho[beta, j], P)
+            speed = capped_speed(beta, j)
             for u in controls.levels:
                 y = g.nodes[j] + dt * u * speed
                 i, (wl, wr) = basis_weights(y, g)

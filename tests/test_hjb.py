@@ -17,7 +17,7 @@ from lanemfg.hjb import (
     solve_backward,
     terminal_slice,
 )
-from lanemfg.model import CostParams, FluxParams, TargetSet, flux_eval, running_cost
+from lanemfg.model import CostParams, FluxParams, TargetSet, running_cost, transport_speed
 
 P = FluxParams(a=3.0, b=1.0, rho_max=1.0)
 C = CostParams(kappa=1.0, epsilon=1e-5)
@@ -55,14 +55,15 @@ def _iterated_closure(w, kappa, passes=None):
 
 
 def _full_search(v_next, rho, g, dt, controls, c, p):
-    """The Hamiltonian minimization over every foot: the reference for the fast path."""
+    """The Hamiltonian minimization over every foot at the shared transport speed: the
+    reference for the fast path."""
     v_next = np.atleast_2d(np.asarray(v_next, dtype=float))
     rho = np.atleast_2d(np.asarray(rho, dtype=float))
     n = v_next.shape[0]
     u = controls.values
     k = u.size
 
-    speed = flux_eval(rho, p)
+    speed = transport_speed(rho, p, dt, g.dx)
     ell = running_cost(rho, c, p)
     feet = g.nodes[None, :, None] + dt * speed[:, :, None] * u[None, None, :]
     i, t = locate(feet, g)
@@ -285,6 +286,24 @@ class TestHamiltonianStep:
         np.testing.assert_array_equal(vals, ref_vals)
         np.testing.assert_array_equal(u_idx, ref_u)
         assert fast_peak < full_peak / 4
+
+    def test_moves_at_the_capped_speed(self):
+        # lane 2 is jammed downstream of node 6 (rho = 0.625, f = 0.375) within
+        # the reach ceil(0.75*dt/dx) = 7: the cap stops node 6, so every foot is
+        # home and the tie takes u = 1. At f its top foot would clamp onto node 9,
+        # where V_next is higher, and the search would take u = 0.
+        g = build_uniform(0.0, 1.0, 10)
+        rho = np.zeros((2, 10))
+        rho[1] = 1.0
+        rho[1, 6] = 0.625
+        v_next = np.tile(np.linspace(0.0, 1.0, 10), (2, 1))
+        controls = ControlSet((0.0, 1.0))
+        vals, u_idx = hamiltonian_step(v_next, rho, g, 1.0, controls, C, P)
+        assert u_idx[1, 6] == 1
+        assert vals[1, 6] == running_cost(0.625, C, P) + v_next[1, 6]
+        ref_vals, ref_u = _full_search(v_next, rho, g, 1.0, controls, C, P)
+        np.testing.assert_array_equal(vals, ref_vals)
+        np.testing.assert_array_equal(u_idx, ref_u)
 
 
 class TestQviBackwardStep:

@@ -6,9 +6,8 @@ import pytest
 from lanemfg import transport
 from lanemfg.grid import TimeGrid, build_uniform
 from lanemfg.hjb import ControlSet, qvi_backward_step, solve_backward
-from lanemfg.mfg import (SolverOptions, _capped_speed, _forward, initialize_policies, peak_bytes,
-                         residuals, solve)
-from lanemfg.model import CostParams, FluxParams, TargetSet, flux_eval
+from lanemfg.mfg import SolverOptions, _forward, initialize_policies, peak_bytes, residuals, solve
+from lanemfg.model import CostParams, FluxParams, TargetSet
 
 P = FluxParams(a=3.0, b=1.0, rho_max=1.0)
 C = CostParams(kappa=1.0, epsilon=1e-5)
@@ -42,41 +41,6 @@ def small_problem(n_lanes=2, m=31, n_steps=15, horizon=3.0):
     x = g.nodes
     rho0 = np.stack([np.exp(-((x - 1.5 - a) ** 2)) / 3.0 for a in range(n_lanes)])
     return g, tg, tgt, rho0
-
-
-class TestCappedSpeed:
-    # under P the critical density is 0.25: rho = 0.25 is free (f = 0.75), 0.5
-    # and 0.75 are congested (f = 0.5 and 0.25), 1.5 is over-jammed (f = -0.5)
-
-    def test_free_road_is_f(self):
-        rho = np.array([[0.0, 0.1, 0.2, 0.25, 0.05], [0.25, 0.2, 0.0, 0.1, 0.15]])
-        np.testing.assert_array_equal(_capped_speed(rho, P, 3), flux_eval(rho, P))
-
-    def test_window_of_reach(self):
-        rho = np.array([[0.25, 0.25, 0.25, 0.5, 0.75, 0.25]])
-        # node 2 sees 0.5 and 0.25 within two nodes, node 1 sees only 0.5
-        np.testing.assert_array_equal(_capped_speed(rho, P, 2),
-                                      [[0.75, 0.5, 0.25, 0.25, 0.25, 0.75]])
-        np.testing.assert_array_equal(_capped_speed(rho, P, 1),
-                                      [[0.75, 0.75, 0.5, 0.25, 0.25, 0.75]])
-
-    def test_last_node_never_capped(self):
-        # beyond the domain the road is free, so the last node keeps its f
-        rho = np.array([[0.5, 0.75, 0.5], [0.75, 0.5, 0.25]])
-        speed = _capped_speed(rho, P, 2)
-        np.testing.assert_array_equal(speed[:, -1], [0.5, 0.75])
-        assert speed[0, 0] == 0.25 and speed[1, 1] == 0.5
-
-    def test_over_jammed_keeps_negative_f(self):
-        rho = np.array([[1.5, 0.75, 0.5]])
-        speed = _capped_speed(rho, P, 2)
-        assert speed[0, 0] == -0.5
-
-    @pytest.mark.parametrize("extra", [0, 1, 5])
-    def test_reach_beyond_the_domain(self, extra):
-        rho = np.array([[0.25, 0.75, 0.25, 0.5, 0.25], [0.5, 0.25, 0.25, 0.75, 0.25]])
-        np.testing.assert_array_equal(_capped_speed(rho, P, rho.shape[1] + extra),
-                                      _capped_speed(rho, P, rho.shape[1] - 1))
 
 
 class TestSolverOptions:

@@ -13,6 +13,7 @@ from lanemfg.model import (
     running_cost,
     switching_cost,
     terminal_value,
+    transport_speed,
 )
 
 P = FluxParams(a=3.0, b=1.0, rho_max=1.0)
@@ -75,6 +76,51 @@ class TestCriticalDensity:
 
     def test_direct_formula(self):
         assert critical_density(FluxParams(1.0, 3.0, 2.0)) == pytest.approx(1.5)
+
+
+class TestTransportSpeed:
+    # under P the critical density is 0.25: rho = 0.25 is free (f = 0.75), 0.5
+    # and 0.75 are congested (f = 0.5 and 0.25), 1.5 is over-jammed (f = -0.5);
+    # max_flux is 0.75, so on dx = 1 the reach ceil(0.75*dt) is 2 at dt = 2, 1 at dt = 1
+
+    def test_free_road_is_f(self):
+        rho = np.array([[0.0, 0.1, 0.2, 0.25, 0.05], [0.25, 0.2, 0.0, 0.1, 0.15]])
+        np.testing.assert_array_equal(transport_speed(rho, P, 4.0, 1.0), flux_eval(rho, P))
+
+    def test_window_of_reach(self):
+        rho = np.array([[0.25, 0.25, 0.25, 0.5, 0.75, 0.25]])
+        # node 2 sees 0.5 and 0.25 within two nodes, node 1 sees only 0.5
+        np.testing.assert_array_equal(transport_speed(rho, P, 2.0, 1.0),
+                                      [[0.75, 0.5, 0.25, 0.25, 0.25, 0.75]])
+        np.testing.assert_array_equal(transport_speed(rho, P, 1.0, 1.0),
+                                      [[0.75, 0.75, 0.5, 0.25, 0.25, 0.75]])
+
+    def test_reach_at_least_one(self):
+        # a step too short to cross a cell still caps by the next node
+        rho = np.array([[0.25, 0.25, 0.5, 0.75, 0.25]])
+        for dt in (0.0, 0.5):
+            np.testing.assert_array_equal(transport_speed(rho, P, dt, 1.0),
+                                          transport_speed(rho, P, 1.0, 1.0))
+
+    def test_last_node_never_capped(self):
+        # beyond the domain the road is free, so the last node keeps its f
+        rho = np.array([[0.5, 0.75, 0.5], [0.75, 0.5, 0.25]])
+        speed = transport_speed(rho, P, 2.0, 1.0)
+        np.testing.assert_array_equal(speed[:, -1], [0.5, 0.75])
+        assert speed[0, 0] == 0.25 and speed[1, 1] == 0.5
+
+    def test_over_jammed_keeps_negative_f(self):
+        rho = np.array([[1.5, 0.75, 0.5]])
+        speed = transport_speed(rho, P, 2.0, 1.0)
+        assert speed[0, 0] == -0.5
+
+    @pytest.mark.parametrize("extra", [0, 1, 5])
+    def test_reach_beyond_the_domain(self, extra):
+        # on dx = max_flux the reach is dt: M + extra cells against M - 1
+        rho = np.array([[0.25, 0.75, 0.25, 0.5, 0.25], [0.5, 0.25, 0.25, 0.75, 0.25]])
+        m = rho.shape[1]
+        np.testing.assert_array_equal(transport_speed(rho, P, m + extra, 0.75),
+                                      transport_speed(rho, P, m - 1, 0.75))
 
 
 class TestSwitchingCost:

@@ -404,10 +404,38 @@ def _assert_step_ledger(rho, out, outflow, clamped, g):
 
     Those sums add terms as large as before + outflow + clamped, so their
     rounding scales with that, not with the ledger's value, which cancels
-    to 0 when every foot exits.
+    to 0 when every foot exits. Among subnormals a rounding is absolute
+    instead, up to half the least subnormal eta, and the relative bound
+    rounds to 0. A cell passes through 16 roundings: rho + dt*src (two),
+    the two hat weights of the G operator (two products each) and their
+    two bincount sums, and the product and sum of each of the four masses
+    (before, after, outflow, clamped). At eta/2 each that is 8*eta a cell.
     """
     before, after = total_mass(rho, g)[1], total_mass(out, g)[1]
-    assert abs(after - (before - outflow + clamped)) <= 1e-12 * (before + outflow + clamped)
+    n, m = rho.shape
+    bound = 1e-12 * (before + outflow + clamped) + 8 * n * m * np.finfo(float).smallest_subnormal
+    assert abs(after - (before - outflow + clamped)) <= bound
+
+
+def _subnormal_step():
+    """Two lanes at the least subnormal density under a Shvetsov exchange: rho + dt*src
+    holds -5e-324 on lane 2, whose clamped mass -5e-324 * 0.5 rounds to -0.0."""
+    p = FluxParams(a=1.0, b=1.0, rho_max=1.0)
+    g = build_uniform(0.0, 1.0, 2)
+    rho = np.full((2, 2), 5e-324)
+    src = shvetsov_source(rho, [1.0, 1.0], [0.25, 0.25], p)
+    return rho, g, forward_step(rho, np.zeros((2, 2)), src, g, dt=0.5)
+
+
+def test_forward_step_clamps_subnormal_negatives():
+    _, _, (out, _, clamped) = _subnormal_step()
+    assert clamped == 0.0
+    assert np.all(out >= 0.0)
+
+
+def test_forward_step_ledger_among_subnormals():
+    rho, g, (out, outflow, clamped) = _subnormal_step()
+    _assert_step_ledger(rho, out, outflow, clamped, g)
 
 
 def test_forward_step_ledger_when_every_foot_exits():
