@@ -13,7 +13,7 @@ Library layout:
 """
 
 from .baseline import BaselineParams, lwr_velocity, uncontrolled_solve
-from .grid import SpatialGrid, TimeGrid, basis_weights, build_uniform, p1_interpolate, project_initial
+from .grid import SpatialGrid, TimeGrid, build_uniform, project_initial
 from .hjb import (
     BackwardResult,
     ControlSet,

@@ -104,11 +104,13 @@ def run(scn: Scenario, mode: str, out_dir) -> dict:
 
 
 def _number_or_text(text: str):
-    """`text` as a float, or unchanged for the scenario schema to report."""
-    try:
-        return float(text)
-    except ValueError:
-        return text
+    """`text` as an int or a float, or unchanged for the scenario schema to report."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -122,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--mode", choices=MODES, default="mfg")
     ap.add_argument("--out-dir", default="out", help="output directory (created if missing)")
     ap.add_argument("--snapshots", help="comma-separated snapshot times, overrides scenario")
-    ap.add_argument("--max-outer-iters", type=int)
+    ap.add_argument("--max-outer-iters", type=_number_or_text)
     return ap
 
 

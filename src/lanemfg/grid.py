@@ -21,8 +21,7 @@ __all__ = [
     "TimeGrid",
     "build_uniform",
     "locate",
-    "basis_weights",
-    "p1_interpolate",
+    "p1_at",
     "project_initial",
 ]
 
@@ -94,37 +93,25 @@ def locate(x, g: SpatialGrid):
     return i, c - i
 
 
-def basis_weights(x: float, g: SpatialGrid):
-    """Hat-function weights of a single query point.
+def p1_at(values, i, t):
+    """P1 interpolation at the cells (i, t) that locate returns.
 
-    Returns (left node index, (w_left, w_right)); out-of-domain points are
-    clamped to the nearest boundary node first.
+    values is a flat array of node values, lane after lane, and i indexes
+    it: add a lane's start a*M to locate's cell index. The weights 1 - t
+    and t are nonnegative and sum to 1.
     """
-    i, t = locate(x, g)
-    return int(i), (1.0 - float(t), float(t))
+    return (1.0 - t) * values.take(i) + t * values[1:].take(i)
 
 
-def p1_interpolate(values, x, g: SpatialGrid):
-    """Piecewise-linear interpolation of node values; constant beyond the ends."""
-    v = np.asarray(values, dtype=float)
-    if v.shape[-1] != g.node_count:
-        raise ValueError(f"expected {g.node_count} node values, got {v.shape[-1]}")
-    i, t = locate(x, g)
-    out = (1.0 - t) * v[..., i] + t * v[..., i + 1]
-    return out if out.ndim else float(out)
-
-
-def project_initial(rho0, g: SpatialGrid, samples_per_cell: int = 9) -> np.ndarray:
+def project_initial(rho0, g: SpatialGrid) -> np.ndarray:
     """Cell averages of a density profile by composite Simpson quadrature.
 
-    rho0 must accept numpy arrays. samples_per_cell must be odd and >= 3.
+    rho0 must accept numpy arrays.
     """
-    if samples_per_cell < 3 or samples_per_cell % 2 == 0:
-        raise ValueError("samples_per_cell must be odd and at least 3")
     half = 0.5 * g.dx
     lo = np.maximum(g.nodes - half, g.x_lo)
     hi = np.minimum(g.nodes + half, g.x_hi)
-    offsets = np.linspace(0.0, 1.0, samples_per_cell)
+    offsets = np.linspace(0.0, 1.0, 9)  # 8 Simpson intervals per cell
     pts = lo[:, None] + (hi - lo)[:, None] * offsets[None, :]
     vals = np.asarray(rho0(pts), dtype=float)
     # Simpson's rule over each pair of sample intervals, in the arithmetic of

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import SpatialGrid, TimeGrid, locate
+from .grid import SpatialGrid, TimeGrid, locate, p1_at
 from .model import (CostParams, FluxParams, TargetSet, running_cost, switching_cost,
                     terminal_value, transport_speed)
 
@@ -123,11 +123,6 @@ def jump_operator(v, c: CostParams):
     return psi, target
 
 
-def _p1(v_flat, i, t):
-    """P1 interpolation of V_next at cell i, offset t; i indexes the flattened lanes."""
-    return (1.0 - t) * v_flat.take(i) + t * v_flat[1:].take(i)
-
-
 def hamiltonian_step(v_next, rho, g: SpatialGrid, dt: float, controls: ControlSet,
                      c: CostParams, p: FluxParams):
     """Semi-Lagrangian minimization over the control set, per node and lane.
@@ -186,9 +181,9 @@ def hamiltonian_step(v_next, rho, g: SpatialGrid, dt: float, controls: ControlSe
     i_top, t_top = locate(g.nodes + step * u[-1], g)
     home = (i_top == i_home) & (t_top == t_home) & np.isfinite(step)
     i_top += lane_start
-    top = _p1(v_flat, i_top, t_top)
+    top = p1_at(v_flat, i_top, t_top)
     i_sec, t_sec = locate(g.nodes + step * u[-2], g)
-    second = _p1(v_flat, i_sec + lane_start, t_sec)
+    second = p1_at(v_flat, i_sec + lane_start, t_sec)
 
     # rises[a, j]: steps of V_next on lane a left of node j that rise (or
     # touch a NaN)
@@ -206,7 +201,7 @@ def hamiltonian_step(v_next, rho, g: SpatialGrid, dt: float, controls: ControlSe
     if a.size:
         # the full search over every control level
         i, t = locate(g.nodes[j, None] + step[a, j, None] * u, g)
-        total = dt * ell[a, j, None] + _p1(v_flat, i + lane_start[a], t)
+        total = dt * ell[a, j, None] + p1_at(v_flat, i + lane_start[a], t)
         values[a, j] = np.min(total, axis=1)
         u_idx[a, j] = (k - 1) - np.argmin(total[:, ::-1], axis=1)
     return values, u_idx

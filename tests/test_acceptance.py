@@ -17,7 +17,7 @@ import pytest
 
 from lanemfg import cli, mfg, transport
 from lanemfg.baseline import BaselineParams, uncontrolled_solve
-from lanemfg.grid import TimeGrid, basis_weights, build_uniform, p1_interpolate
+from lanemfg.grid import TimeGrid, build_uniform, locate, p1_at
 from lanemfg.hjb import ControlSet, qvi_backward_step, solve_backward
 from lanemfg.model import (CostParams, FluxParams, TargetSet, critical_density, flux_eval, max_flux,
                            running_cost)
@@ -159,8 +159,9 @@ def test_criterion_5_brute_force_oracle():
             speed = capped_speed(beta, j)
             for u in controls.levels:
                 y = g.nodes[j] + dt * u * speed
-                i, (wl, wr) = basis_weights(y, g)
-                val = chain + dt * ell + wl * brute(k + 1, i, beta) + wr * brute(k + 1, i + 1, beta)
+                i, t = locate(y, g)
+                val = (chain + dt * ell + (1.0 - t) * brute(k + 1, i, beta)
+                       + t * brute(k + 1, i + 1, beta))
                 best = min(best, val)
         return best
 
@@ -178,18 +179,19 @@ def test_criterion_5_brute_force_oracle():
 
 
 def test_criterion_6_partition_of_unity_and_monotone_interp():
+    # the P1 evaluator that the backward step runs, on the cells locate places
     g = build_uniform(0.0, 25.0, 501)
     rng = np.random.RandomState(42)
     values = rng.uniform(-5.0, 5.0, 501)
-    worst_sum = 0.0
-    ok_bounds = True
-    for x in rng.uniform(0.0, 25.0, 1000):
-        _, (wl, wr) = basis_weights(float(x), g)
-        worst_sum = max(worst_sum, abs(wl + wr - 1.0))
-        v = p1_interpolate(values, float(x), g)
-        ok_bounds = ok_bounds and values.min() <= v <= values.max()
-    _record(6, worst_sum <= 1e-14 and ok_bounds,
-            f"worst weight-sum error {worst_sum:.2e}, interpolant within bounds: {ok_bounds}")
+    i, t = locate(rng.uniform(0.0, 25.0, 1000), g)
+    worst_sum = float(np.abs(p1_at(np.ones(501), i, t) - 1.0).max())
+    v = p1_at(values, i, t)
+    ok_weights = bool(np.all((t >= 0.0) & (t <= 1.0)))
+    ok_bounds = bool(np.all((values.min() <= v) & (v <= values.max())))
+    ok_order = bool(np.all(p1_at(values + rng.uniform(0.0, 1.0, 501), i, t) >= v))
+    _record(6, worst_sum <= 1e-14 and ok_weights and ok_bounds and ok_order,
+            f"worst weight-sum error {worst_sum:.2e}, weights nonnegative: {ok_weights}, "
+            f"interpolant within bounds: {ok_bounds}, order kept: {ok_order}")
 
 
 def test_criterion_7_preamble_run_budget(sec6_coarse):

@@ -363,6 +363,14 @@ class TestMain:
             assert code == 1
             assert "snapshot_times" in capsys.readouterr().err
 
+    def test_invalid_iteration_override_exits_one(self, tmp_path, capsys):
+        # the override goes through the scenario schema, not argparse (which exits 2)
+        for iters in ("2.5", "abc"):
+            code = main(["--preset", "paper-sec6-coarse", "--out-dir", str(tmp_path),
+                         "--max-outer-iters", iters])
+            assert code == 1
+            assert "scenario.solver.max_outer_iters" in capsys.readouterr().err
+
     def test_solver_overrides(self, tmp_path):
         scn = scenario_from_dict(small_dict())
         cfg = tmp_path / "scn.json"

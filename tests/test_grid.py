@@ -8,13 +8,7 @@ import pytest
 from scipy.integrate import quad, simpson
 
 import lanemfg
-from lanemfg.grid import (
-    TimeGrid,
-    basis_weights,
-    build_uniform,
-    p1_interpolate,
-    project_initial,
-)
+from lanemfg.grid import TimeGrid, build_uniform, locate, p1_at, project_initial
 
 
 def gauss(x):
@@ -59,39 +53,42 @@ class TestTimeGrid:
             TimeGrid(horizon=1.0, step_count=0)
 
 
+def interpolate(values, x, g):
+    """P1 values at the points x: p1_at on the cells locate places them in."""
+    i, t = locate(x, g)
+    return p1_at(np.asarray(values, dtype=float), i, t)
+
+
 class TestBasisWeights:
+    """The hat weights (1 - t, t) on nodes i and i + 1, from locate's (i, t)."""
+
     G = build_uniform(0.0, 10.0, 11)
 
     def test_exact_at_nodes(self):
         for j, x in enumerate(self.G.nodes):
-            i, (wl, wr) = basis_weights(float(x), self.G)
+            i, t = locate(x, self.G)
             w = np.zeros(11)
-            w[i] += wl
-            w[i + 1] += wr
+            w[i] += 1.0 - t
+            w[i + 1] += t
             assert w[j] == 1.0
 
     def test_midpoint(self):
-        i, (wl, wr) = basis_weights(3.5, self.G)
-        assert i == 3
-        assert wl == pytest.approx(0.5)
-        assert wr == pytest.approx(0.5)
+        assert locate(3.5, self.G) == (3, 0.5)
 
     def test_clamped_right(self):
-        i, (wl, wr) = basis_weights(11.0, self.G)
-        assert i == 9
-        assert (wl, wr) == (0.0, 1.0)
+        assert locate(11.0, self.G) == (9, 1.0)
 
     def test_clamped_left(self):
-        i, (wl, wr) = basis_weights(-2.0, self.G)
-        assert i == 0
-        assert (wl, wr) == (1.0, 0.0)
+        assert locate(-2.0, self.G) == (0, 0.0)
 
     def test_partition_of_unity(self):
         rng = np.random.RandomState(11)
-        for x in rng.uniform(0.0, 10.0, 1000):
-            _, (wl, wr) = basis_weights(float(x), self.G)
-            assert abs(wl + wr - 1.0) <= 1e-14
-            assert wl >= 0 and wr >= 0
+        x = rng.uniform(-1.0, 11.0, 1000)
+        i, t = locate(x, self.G)
+        assert np.all((i >= 0) & (i <= 9))
+        assert np.all((t >= 0.0) & (t <= 1.0))
+        np.testing.assert_allclose(self.G.nodes[i] + t * self.G.dx, np.clip(x, 0.0, 10.0),
+                                   rtol=0, atol=1e-14)
 
 
 class TestP1Interpolate:
@@ -100,27 +97,30 @@ class TestP1Interpolate:
     def test_reproduces_linear(self):
         g = build_uniform(0.0, 10.0, 21)
         xs = np.linspace(0.0, 10.0, 113)
-        np.testing.assert_allclose(p1_interpolate(g.nodes, xs, g), xs, atol=1e-13)
+        np.testing.assert_allclose(interpolate(g.nodes, xs, g), xs, atol=1e-13)
 
     def test_constant(self):
         vals = np.full(3, 7.0)
-        assert p1_interpolate(vals, 1.234, self.G) == pytest.approx(7.0, abs=0)
+        assert interpolate(vals, 1.234, self.G) == pytest.approx(7.0, abs=0)
 
     def test_hat(self):
-        assert p1_interpolate(np.array([0.0, 1.0, 0.0]), 1.5, self.G) == pytest.approx(0.5)
+        assert interpolate([0.0, 1.0, 0.0], 1.5, self.G) == pytest.approx(0.5)
 
     def test_monotone_bounds(self):
         g = build_uniform(0.0, 1.0, 9)
         rng = np.random.RandomState(5)
         vals = rng.uniform(-3.0, 3.0, 9)
         xs = rng.uniform(-0.5, 1.5, 1000)
-        out = p1_interpolate(vals, xs, g)
+        out = interpolate(vals, xs, g)
         assert np.all(out >= vals.min() - 1e-14)
         assert np.all(out <= vals.max() + 1e-14)
 
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            p1_interpolate(np.zeros(4), 0.5, self.G)
+    def test_lanes_by_offset(self):
+        # lane a starts at a*M of the flat values; the last cell of lane 0 stays on lane 0
+        lanes = np.array([[0.0, 1.0, 2.0], [10.0, 20.0, 30.0]])
+        i, t = locate(np.array([[0.5, 2.0], [0.5, 2.0]]), self.G)
+        out = p1_at(lanes.reshape(-1), i + np.array([[0], [3]]), t)
+        np.testing.assert_array_equal(out, [[0.5, 2.0], [15.0, 30.0]])
 
 
 class TestProjectInitial:
@@ -153,7 +153,7 @@ class TestProjectInitial:
         ref = quad(gauss, 0.0, 25.0, epsabs=1e-12)[0]
         assert float(out @ g.cell_widths) == pytest.approx(ref, abs=1e-8)
 
-    @pytest.mark.parametrize("m, samples", [(501, 9), (5001, 9), (41, 3), (7, 5)])
+    @pytest.mark.parametrize("m, samples", [(501, 9), (5001, 9), (41, 9), (7, 9)])
     def test_bit_identical_to_scipy_simpson(self, m, samples):
         g = build_uniform(-1.0, 25.0, m)
 
@@ -165,7 +165,7 @@ class TestProjectInitial:
         hi = np.minimum(g.nodes + half, g.x_hi)
         pts = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, samples)[None, :]
         expected = simpson(profile(pts), x=pts, axis=1) / (hi - lo)
-        np.testing.assert_array_equal(project_initial(profile, g, samples), expected)
+        np.testing.assert_array_equal(project_initial(profile, g), expected)
 
     def test_runs_without_scipy(self):
         code = (

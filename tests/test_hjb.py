@@ -451,16 +451,36 @@ class TestSolveBackward:
                 return terminal[j]
             best = np.inf
             for u in U3.levels:
-                y = g.nodes[j] + dt * u * 0.75
-                from lanemfg.grid import basis_weights
-
-                i, (wl, wr) = basis_weights(y, g)
-                best = min(best, dt * ell + wl * brute(k + 1, i) + wr * brute(k + 1, i + 1))
+                i, t = locate(g.nodes[j] + dt * u * 0.75, g)
+                best = min(best, dt * ell + (1.0 - t) * brute(k + 1, i) + t * brute(k + 1, i + 1))
             return best
 
         for k in range(n_steps + 1):
             for j in range(5):
                 assert res.values[k, 0, j] == pytest.approx(brute(k, j), abs=1e-12)
+
+    @staticmethod
+    def _frozen_free_flow_error(m):
+        """|V - exact| at t = 0 on one lane of [0, 10] with target 10, T = 5, dt = dx/2.
+
+        The density is frozen at 1/6, so f = 0.5 and l = 1.2, and the exact
+        value is l*T + max(0, 10 - x - f*T), with a kink at x = 7.5.
+        """
+        g = build_uniform(0.0, 10.0, m)
+        tg = TimeGrid(horizon=5.0, step_count=m - 1)
+        rho = np.full((m, 1, m), 1.0 / 6.0)
+        res = solve_backward(rho, g, tg, U11, C, P, TargetSet(((10.0, 1),)))
+        exact = 1.2 * 5.0 + np.maximum(0.0, 10.0 - g.nodes - 0.5 * 5.0)
+        return g, np.abs(res.values[0, 0] - exact)
+
+    def test_half_order_against_the_exact_value(self):
+        # the Crandall-Lions rate for Lipschitz data, set by the kink
+        errors = [self._frozen_free_flow_error(m)[1].max() for m in (201, 401, 801)]
+        assert np.all(np.log2(np.divide(errors[:-1], errors[1:])) >= 0.45), errors
+
+    def test_exact_away_from_the_kink(self):
+        g, err = self._frozen_free_flow_error(801)
+        assert err[np.abs(g.nodes - 7.5) > 1.0].max() <= 1e-9
 
     def test_infinite_kappa_equals_per_lane_solves(self):
         g = build_uniform(0.0, 10.0, 21)

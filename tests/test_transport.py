@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from lanemfg.grid import TimeGrid, build_uniform, locate
 from lanemfg.model import FluxParams, flux_eval
@@ -258,6 +259,32 @@ class TestShvetsovSource:
         ref = solve_ivp(rhs, (0.0, 40.0), [0.25, 0.0], rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(final[:, 0], ref.y[:, -1], atol=5e-3)
 
+    def test_first_order_against_the_matrix_exponential(self):
+        # below the critical density f = a*rho, so the frozen exchange is the linear ODE
+        # rho' = A rho, whose explicit Euler steps approach exp(T*A) rho0 at first order
+        g = build_uniform(0.0, 1.0, 4)
+        rho0 = np.array([[0.05, 0.0, 0.02, 0.01],
+                         [0.0, 0.04, 0.03, 0.05],
+                         [0.02, 0.01, 0.0, 0.05]])
+        tl, tr = np.array([1.0, 2.0, 0.5]), np.array([0.7, 1.5, 1.0])
+        gen = np.zeros((3, 3))
+        for a in range(3):
+            if a > 0:  # the interface with lane a - 1
+                gen[a, a - 1] += P.a / tl[a - 1]
+                gen[a, a] -= P.a / tr[a]
+            if a < 2:  # the interface with lane a + 1
+                gen[a, a + 1] += P.a / tr[a + 1]
+                gen[a, a] -= P.a / tl[a]
+        exact = expm(gen) @ rho0
+        errors = []
+        for steps in (10, 20, 40, 80):
+            run = sweep(rho0, g, TimeGrid(horizon=1.0, step_count=steps),
+                        velocity_at=lambda k, r: np.zeros_like(r),
+                        source_at=lambda k, r: shvetsov_source(r, tl, tr, P))
+            assert run.rho_traj.max() < 0.25
+            errors.append(np.abs(run.rho_traj[-1] - exact).max())
+        assert np.all(np.log2(np.divide(errors[:-1], errors[1:])) >= 0.9), errors
+
 
 class TestForwardStep:
     G = build_uniform(0.0, 25.0, 501)
@@ -339,6 +366,19 @@ class TestForwardStep:
         out, _, _ = forward_step(rho, np.full_like(rho, v), np.zeros_like(rho), g, dt=0.05)
         np.testing.assert_array_equal(out[0, m:], rho[0, :-m])
         np.testing.assert_array_equal(out[0, :m], 0.0)
+
+    def test_first_order_translation(self):
+        # a Gaussian carried at constant speed 0.7 over T = 2 with dt = dx/2, against
+        # the exact shift: the hat-weight deposit diffuses at first order in dx
+        errors = []
+        for m in (401, 801, 1601):
+            g = build_uniform(0.0, 10.0, m)
+            tg = TimeGrid(horizon=2.0, step_count=4 * (m - 1) // 10)
+            run = sweep(np.exp(-(g.nodes - 3.0) ** 2)[None, :], g, tg,
+                        velocity_at=lambda k, r: np.full_like(r, 0.7),
+                        source_at=lambda k, r: np.zeros_like(r))
+            errors.append(np.abs(run.rho_traj[-1, 0] - np.exp(-(g.nodes - 4.4) ** 2)).max())
+        assert np.all(np.log2(np.divide(errors[:-1], errors[1:])) >= 0.9), errors
 
     def test_lane_relabeling_equivariance(self):
         g = build_uniform(0.0, 10.0, 51)
