@@ -2,8 +2,11 @@
 
 Each outer iteration runs the density forward under the current feedback
 policies, averages the result into the retained trajectory, and re-solves
-the value function backward on that average to improve the policies; the
-iterate is that solve's BackwardResult. Both sweeps move at
+the value function backward on that average to improve the policies. The
+loop holds one iterate, a BackwardResult, and updates it in place: the run
+is averaged into its own buffer, and each backward solve overwrites the
+previous values and policies level by level, taking the policy and value
+changes on each level before it overwrites it. Both sweeps move at
 model.transport_speed, so each backward solve best-responds to the
 dynamics the forward run simulates. Iteration stops when the fraction of
 changed policy cells and the sup-norm value change both fall under their
@@ -83,30 +86,30 @@ def initialize_policies(rho0, g: SpatialGrid, tg: TimeGrid, controls: hjb.Contro
     return hjb.solve_backward(frozen, g, tg, controls, c, p, tgt)
 
 
-def _abs_diff(a, b):
-    """|a - b| with one temporary, not two: a trajectory can be hundreds of MB."""
-    d = np.subtract(a, b)
-    return np.abs(d, out=d)
+def residuals(prev_rho, nxt: hjb.BackwardResult, g: SpatialGrid, tg: TimeGrid):
+    """(policy-change fraction, value sup-norm change, density L1 change).
 
-
-def residuals(prev: hjb.BackwardResult, nxt: hjb.BackwardResult, g: SpatialGrid, tg: TimeGrid):
-    """(policy-change fraction, value sup-norm change, density L1 change)."""
-    changed = (prev.u_idx != nxt.u_idx) | (prev.q_target != nxt.q_target)
-    policy_change = float(changed.mean())
-    value_change = float(_abs_diff(prev.values, nxt.values).max())
-    density_change = float((_abs_diff(prev.rho_traj, nxt.rho_traj) @ g.cell_widths).sum() * tg.dt)
-    return policy_change, value_change, density_change
+    nxt is a backward solve written over the previous iterate, which reports
+    the policy and value changes; the density change compares the trajectory
+    nxt answers with prev_rho, the one the previous iterate answered, level
+    by level.
+    """
+    moved = np.empty(nxt.rho_traj.shape[:2])
+    for k, (old, new) in enumerate(zip(prev_rho, nxt.rho_traj)):
+        moved[k] = np.abs(old - new) @ g.cell_widths
+    return nxt.policy_changes / nxt.u_idx.size, nxt.value_change, float(moved.sum() * tg.dt)
 
 
 def peak_bytes(lanes: int, node_count: int, step_count: int) -> int:
     """About the most memory `solve` holds at once, in bytes.
 
-    It peaks in `residuals` with five float64 (N+1, n, M) arrays (two value
-    and two density trajectories, one temporary), four int16 policy arrays
-    and a bool mask, 6.125 arrays, rounded up to 7; a step's switch stage
-    adds under two (n, n, M) arrays.
+    From the second outer iteration on, the forward run and then the backward
+    solve hold 3.5 float64 (N+1, n, M) arrays: the iterate's values, its two
+    int16 policy arrays, the previous mix and the new run, mixed in place.
+    That is rounded up to 4 for a step's work arrays, and a step's switch
+    stage adds under two (n, n, M) arrays.
     """
-    return 8 * lanes * node_count * (7 * (step_count + 1) + 2 * lanes)
+    return 8 * lanes * node_count * (4 * (step_count + 1) + 2 * lanes)
 
 
 def solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams, c: CostParams,
@@ -134,8 +137,8 @@ def solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams, c: CostParams,
             rho_mix -= current.rho_traj
             rho_mix /= it
             rho_mix += current.rho_traj
-        nxt = hjb.solve_backward(rho_mix, g, tg, controls, c, p, tgt)
-        res = residuals(current, nxt, g, tg)
+        nxt = hjb.solve_backward(rho_mix, g, tg, controls, c, p, tgt, into=current)
+        res = residuals(current.rho_traj, nxt, g, tg)
         history.append(res)
         current = nxt
         if res[0] <= opts.tol_policy and res[1] <= tol_value:
@@ -145,7 +148,9 @@ def solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams, c: CostParams,
     if not converged:
         logger.warning("policy iteration did not converge within %d iterations", len(history))
 
-    final = _forward(rho0, g, tg, p, controls, current.u_idx, current.q_target)
-    return MfgSolution(**vars(final), value_traj=current.values, u_traj=current.u_idx,
-                       q_traj=current.q_target, iterations=len(history), converged=converged,
-                       residual_history=history)
+    # the last mix goes before the final run: every name that holds it is dropped
+    values, u_idx, q_target = current[:3]
+    del current, nxt, rho_mix
+    final = _forward(rho0, g, tg, p, controls, u_idx, q_target)
+    return MfgSolution(**vars(final), value_traj=values, u_traj=u_idx, q_traj=q_target,
+                       iterations=len(history), converged=converged, residual_history=history)
