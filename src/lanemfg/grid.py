@@ -13,6 +13,7 @@ scheme and the monotonicity of the value-function scheme rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +47,29 @@ class SpatialGrid:
     @property
     def width(self) -> float:
         return self.x_hi - self.x_lo
+
+    @cached_property
+    def home(self):
+        """locate(nodes): each node's own cell and offset, read-only, taken once per grid."""
+        cells = locate(self.nodes, self)
+        for a in cells:
+            a.setflags(write=False)
+        return cells
+
+    @cached_property
+    def home_reach(self) -> float:
+        """A foot displaced by less than this locates onto its node's own cell.
+
+        For |s| < home_reach, locate(nodes[j] + s) is (min(j, M-2), j - min(j, M-2)),
+        which is also `home`. The unsnapped offset of such a foot lies within
+        1.01*|s|/dx of j, plus the rounding of linspace's node, the sum, the
+        difference and the division: under 8u*(M + max|x|/dx) with u = 2**-53.
+        Where that rounding leaves room under _SNAP_TOL, 0.9 of the room keeps
+        the sum within it, so the offset snaps onto j. On a grid too long or too
+        far from 0 for any room, nothing is proven and this is 0.
+        """
+        rounding = 2.0 ** -50 * (self.node_count + max(abs(self.x_lo), abs(self.x_hi)) / self.dx)
+        return max(0.0, 0.9 * (_SNAP_TOL - rounding)) * self.dx
 
 
 def build_uniform(x_lo: float, x_hi: float, m: int) -> SpatialGrid:

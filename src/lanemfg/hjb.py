@@ -32,6 +32,17 @@ every lower foot computes to at least the top's value. Both give u = 1
 and V = dt*l + V_next(top foot), bit for bit what the full search gives;
 hamiltonian_step spells out the bounds.
 
+Both stages skip the columns where nothing can happen, as narrow-band
+level-set methods do (Adalsteinsson & Sethian 1995). A column is still
+when model.moving_span proves that no lane's foot moves by
+grid.home_reach: every foot then locates home, and the cell takes the
+top level at dt*l + P1(home) without its speed, its feet or the search.
+The speed, the feet, the rise count and the search run on the span
+between the first and the last moving column; the speed reads the
+density up to its cap's reach beyond it. The switch stage runs its
+envelope only on the columns whose lanes spread by kappa or more, since
+below that no switch can strictly improve.
+
 Lane labels are 1-based throughout (q_target values live in 1..n); array
 axes are 0-based as usual.
 """
@@ -44,8 +55,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import SpatialGrid, TimeGrid, locate, p1_at
-from .model import (CostParams, FluxParams, TargetSet, running_cost, switching_cost,
-                    terminal_value, transport_speed)
+from .model import (CostParams, FluxParams, TargetSet, moving_span, running_cost,
+                    switching_cost, terminal_value, transport_speed)
 
 __all__ = [
     "ControlSet",
@@ -111,22 +122,34 @@ def jump_operator(v, c: CostParams):
     switch strictly improves; other ties prefer the smaller |b - a|, then
     the smaller b. With a single lane, or kappa = inf, psi is v and the
     target the own lane.
+
+    The envelope runs only on the columns whose lanes spread by at least
+    kappa. Where fl(max_b V - min_b V) < kappa, the exact spread is below
+    kappa too, so V(x, b) + kappa*|a - b| > V(x, a) for every b != a, and
+    rounding can at most tie: the own lane wins, bit for bit.
     """
     v = np.atleast_2d(np.asarray(v, dtype=float))
-    n = v.shape[0]
+    n, m = v.shape
+    psi = v.copy()
+    target = np.repeat(np.arange(1, n + 1)[:, None], m, axis=1)
+    # a NaN spread is no proof: its column takes the envelope
+    cols = np.flatnonzero(~(v.max(axis=0) - v.min(axis=0) < c.kappa))
+    if not cols.size:
+        return psi, target
     # row a: every lane in tie order, the own lane first (b = a has the row's least key)
     lanes = np.arange(n)
     dist = np.abs(lanes[:, None] - lanes)
     order = np.argsort(dist * n + lanes, axis=1)
-    cand = v[order]  # (n, n, M), updated in place: fresh pages are slow to fault in
+    cand = v.take(cols, axis=1)[order]  # (n, n, K), updated in place: fresh pages are slow to fault in
     # the own column keeps v bit for bit, and kappa = inf never meets inf*0
     cand[:, 1:] += switching_cost(lanes[:, None], order[:, 1:], c)[:, :, None]
-    psi = cand.min(axis=1)
+    best = cand.min(axis=1)
+    psi[:, cols] = best
     # target: the least tie rank among the candidates that attain psi (a rank
     # counts n more where its candidate exceeds psi); int32 keeps these small
     rank = np.min(np.arange(n, dtype=np.int32)[:, None]
-                  + np.int32(n) * (cand > psi[:, None]), axis=1)
-    target = np.take(order + 1, rank + n * lanes[:, None])
+                  + np.int32(n) * (cand > best[:, None]), axis=1)
+    target[:, cols] = np.take(order + 1, rank + n * lanes[:, None])
     return psi, target
 
 
@@ -151,7 +174,7 @@ def hamiltonian_step(v_next, rho, g: SpatialGrid, dt: float, controls: ControlSe
     - home: the top foot locates to the same (i, t) as the node. Every
       foot then does, the candidates are the same number, and the tie
       rule picks the top. Zero speed and vanishing densities land here.
-    - falling with margin: the speed is > 0, V_next does not rise over the
+    - falling with margin: the step is > 0, V_next does not rise over the
       nodes from the node's cell to the top foot's right node, and
       top <= second - 2E with E = 2**-50 * max|V_next| on the lane (plus
       the least normal float, for underflow). The exact P1 value at any
@@ -169,6 +192,12 @@ def hamiltonian_step(v_next, rho, g: SpatialGrid, dt: float, controls: ControlSe
     over all levels, with the same expressions and tie rule, so the
     result is bitwise that of the full search.
 
+    All of this runs on the moving span only. A still column's top foot
+    is its home, so it takes the home rule without its speed being
+    computed: P1 at g.home is the same expression, and 0*inf there is NaN
+    as the search would give. E is taken over the nodes the span's feet
+    read, which bounds the rounding of every P1 the rule compares.
+
     Returns (values, u_idx).
     """
     v_next = np.atleast_2d(np.asarray(v_next, dtype=float))
@@ -177,41 +206,64 @@ def hamiltonian_step(v_next, rho, g: SpatialGrid, dt: float, controls: ControlSe
     u = controls.values
     k = u.size
 
-    speed = transport_speed(rho, p, dt, g.dx)
+    lo, hi = moving_span(rho, p, dt, g.home_reach)
+    step = dt * transport_speed(rho, p, dt, g.dx, (lo, hi))
+    # the fast path's arrays are gone before the search builds its (cells, k) ones
+    top, (a, j) = _top_foot(v_next, g, step, u, lo)
     ell = running_cost(rho, c, p)
-    step = dt * speed
-    v_flat = v_next.reshape(-1)
-    lane_start = np.arange(0, n * m, m)[:, None]
-
-    # the top and the second foot, and where a foot of zero speed lands
-    i_home, t_home = locate(g.nodes, g)
-    i_top, t_top = locate(g.nodes + step * u[-1], g)
-    home = (i_top == i_home) & (t_top == t_home) & np.isfinite(step)
-    i_top += lane_start
-    top = p1_at(v_flat, i_top, t_top)
-    i_sec, t_sec = locate(g.nodes + step * u[-2], g)
-    second = p1_at(v_flat, i_sec + lane_start, t_sec)
-
-    # rises[a, j]: steps of V_next on lane a left of node j that rise (or
-    # touch a NaN)
-    rises = np.zeros((n, m), dtype=np.int32)
-    np.cumsum(~(v_next[:, 1:] <= v_next[:, :-1]), axis=1, out=rises[:, 1:])
-    # E of the falling rule, per lane; the window has no rise when the counts
-    # left of the node's cell and of the top foot's right node agree
-    err = 2.0 ** -50 * np.abs(v_next).max(axis=1, keepdims=True) + np.finfo(float).tiny
-    falling = ((speed > 0.0) & (rises.reshape(-1)[1:].take(i_top) == rises.take(i_home, axis=1))
-               & (top <= second - 2.0 * err) & np.isfinite(err))
-
     values = dt * ell + top
     u_idx = np.full((n, m), k - 1)
-    a, j = np.nonzero(~(home | falling))
     if a.size:
         # the full search over every control level
-        i, t = locate(g.nodes[j, None] + step[a, j, None] * u, g)
-        total = dt * ell[a, j, None] + p1_at(v_flat, i + lane_start[a], t)
-        values[a, j] = np.min(total, axis=1)
-        u_idx[a, j] = (k - 1) - np.argmin(total[:, ::-1], axis=1)
+        col = lo + j
+        i, t = locate(g.nodes[col, None] + step[a, j, None] * u, g)
+        total = dt * ell[a, col, None] + p1_at(v_next.reshape(-1), i + m * a[:, None], t)
+        values[a, col] = np.min(total, axis=1)
+        u_idx[a, col] = (k - 1) - np.argmin(total[:, ::-1], axis=1)
     return values, u_idx
+
+
+def _top_foot(v_next, g: SpatialGrid, step, u, lo: int):
+    """P1 of V_next at every cell's top foot, and the cells the full search must settle.
+
+    step holds dt*speed on the moving span, the columns lo, lo + 1, ...;
+    the top foot of every other column is its home. The cells are
+    (lanes, span columns) of those that neither the home nor the falling
+    rule of hamiltonian_step gives the top level.
+    """
+    n, m = v_next.shape
+    v_flat = v_next.reshape(-1)
+    lane_start = np.arange(0, n * m, m)[:, None]
+    cols = slice(lo, lo + step.shape[1])
+    i_home, t_home = g.home
+    i_top, t_top = np.empty((n, m), dtype=i_home.dtype), np.empty((n, m))
+    i_top[:], t_top[:] = i_home, t_home
+    i_top[:, cols], t_top[:, cols] = locate(g.nodes[cols] + step * u[-1], g)
+    top = p1_at(v_flat, i_top + lane_start, t_top)
+    if not step.size:
+        return top, (np.empty(0, dtype=int), np.empty(0, dtype=int))
+
+    # the span's top and second foot
+    i_home, t_home = i_home[cols], t_home[cols]
+    i_span, t_span, top_span = i_top[:, cols], t_top[:, cols], top[:, cols]
+    home = (i_span == i_home) & (t_span == t_home) & np.isfinite(step)
+    i_sec, t_sec = locate(g.nodes[cols] + step * u[-2], g)
+    second = p1_at(v_flat, i_sec + lane_start, t_sec)
+
+    # the nodes r0..r1-1 hold every foot's two nodes. rises[a, j]: steps of
+    # V_next on lane a from node r0 to node r0 + j that rise (or touch a NaN)
+    r0, r1 = min(i_home[0], i_span.min()), max(i_home[-1], i_span.max()) + 2
+    window = v_next[:, r0:r1]
+    rises = np.zeros(window.shape, dtype=np.int32)
+    np.cumsum(~(window[:, 1:] <= window[:, :-1]), axis=1, out=rises[:, 1:])
+    # E of the falling rule, per lane; the window has no rise when the counts
+    # left of the node's cell and of the top foot's right node agree
+    err = 2.0 ** -50 * np.abs(window).max(axis=1, keepdims=True) + np.finfo(float).tiny
+    row_start = np.arange(0, rises.size, r1 - r0)[:, None]
+    falling = ((step > 0.0)
+               & (rises.reshape(-1)[1:].take(i_span - r0 + row_start) == rises.take(i_home - r0, axis=1))
+               & (top_span <= second - 2.0 * err) & np.isfinite(err))
+    return top, np.nonzero(~(home | falling))
 
 
 def qvi_backward_step(v_next, rho, g: SpatialGrid, dt: float, controls: ControlSet,

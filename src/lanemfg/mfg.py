@@ -31,7 +31,7 @@ import numpy as np
 
 from . import hjb, transport
 from .grid import SpatialGrid, TimeGrid
-from .model import CostParams, FluxParams, TargetSet, transport_speed
+from .model import CostParams, FluxParams, TargetSet, moving_span, transport_speed
 
 __all__ = ["SolverOptions", "MfgSolution", "initialize_policies", "residuals", "solve",
            "peak_bytes"]
@@ -70,7 +70,12 @@ class MfgSolution(transport.TransportRun):
 
 def _forward(rho0, g, tg, p, controls, u_traj, q_traj) -> transport.TransportRun:
     def velocity(k, rho):
-        return controls.values[u_traj[k]] * transport_speed(rho, p, tg.dt, g.dx)
+        # outside the span every foot moves less than home_reach and stays home, as at speed 0
+        lo, hi = moving_span(rho, p, tg.dt, g.home_reach)
+        speed = transport_speed(rho, p, tg.dt, g.dx, (lo, hi))
+        vel = np.zeros_like(rho)
+        vel[:, lo:hi] = controls.values[u_traj[k][:, lo:hi]] * speed
+        return vel
 
     def source(k, rho):
         return transport.mfg_source(rho, q_traj[k], p)

@@ -2,9 +2,10 @@
 
 Everything here is a pure function of its arguments: the triangular
 fundamental diagram, the transport speed of both sweeps (f capped by
-downstream supply, along a node axis), the lane-switching cost, the
-congestion running cost and the distance-to-target terminal cost. The
-other evaluators accept scalars or numpy arrays and broadcast.
+downstream supply, along a node axis) and the columns where it can move
+a foot, the lane-switching cost, the congestion running cost and the
+distance-to-target terminal cost. The other evaluators accept scalars or
+numpy arrays and broadcast.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "critical_density",
     "max_flux",
     "transport_speed",
+    "moving_span",
     "switching_cost",
     "running_cost",
     "terminal_value",
@@ -96,7 +98,7 @@ def max_flux(p: FluxParams) -> float:
     return p.a * p.b / (p.a + p.b) * p.rho_max
 
 
-def transport_speed(rho, p: FluxParams, dt: float, dx: float):
+def transport_speed(rho, p: FluxParams, dt: float, dx: float, span=None):
     """f(rho) capped by the speed every congested cell within reach downstream admits.
 
     Both sweeps move at u times this speed. The reach along the last axis,
@@ -109,16 +111,40 @@ def transport_speed(rho, p: FluxParams, dt: float, dx: float):
     which the conservation law (whose entropy solutions satisfy a maximum
     principle) never does. A negative f on an over-jammed cell is kept: it
     relaxes the excess backward instead of freezing it.
+
+    With span = (lo, hi) only the columns lo..hi-1 are returned, bit for bit
+    as in the whole road's speed: they read the density up to the reach
+    beyond hi, and the cap takes the same minima in the same order.
     """
     rho = np.asarray(rho, dtype=float)
     m = rho.shape[-1]
     # offsets of M or more slice nothing, so a larger reach changes nothing
     reach = max(1, int(min(m - 1, np.ceil(dt * max_flux(p) / dx))))
+    lo, hi = span or (0, m)
+    rho = rho[..., lo:hi + reach]
     speed = flux_eval(rho, p)
     admit = np.where(rho <= critical_density(p), np.inf, np.maximum(speed, 0.0))
     for off in range(1, reach + 1):
         np.minimum(speed[..., :-off], admit[..., off:], out=speed[..., :-off])
-    return speed
+    return speed[..., :hi - lo]
+
+
+def moving_span(rho, p: FluxParams, dt: float, still: float):
+    """(lo, hi): the node columns outside which no lane's foot moves by `still` or more.
+
+    rho is (lanes, M). On 0 <= rho <= rho_max, transport_speed lies in
+    [0, a*rho]: f(rho) is at most a*rho there, the cap only lowers it, and
+    every admitted speed is at least 0; a negative density moves at 0. So a
+    column whose lanes all hold rho <= min(rho_max, still/(2*a*dt)) moves
+    every foot by less than still, or not at all, at any control in
+    [0, 1]; the factor 2 covers the roundings, and at dt = 0 nothing moves.
+    Every other column, a NaN included, is in the span, which is empty as
+    (0, 0).
+    """
+    rate = 2.0 * p.a * dt
+    rho_still = min(p.rho_max, still / rate) if rate > 0.0 else p.rho_max
+    busy = np.flatnonzero(~(np.asarray(rho, dtype=float).max(axis=0) <= rho_still))
+    return (int(busy[0]), int(busy[-1]) + 1) if busy.size else (0, 0)
 
 
 def switching_cost(alpha, beta, c: CostParams):

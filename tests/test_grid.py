@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
 import lanemfg
@@ -89,6 +91,45 @@ class TestBasisWeights:
         assert np.all((t >= 0.0) & (t <= 1.0))
         np.testing.assert_allclose(self.G.nodes[i] + t * self.G.dx, np.clip(x, 0.0, 10.0),
                                    rtol=0, atol=1e-14)
+
+
+class TestHome:
+    def test_home_is_locate_of_the_nodes_and_read_only(self):
+        g = build_uniform(-3.7, 21.3, 41)
+        i, t = g.home
+        ref_i, ref_t = locate(g.nodes, g)
+        np.testing.assert_array_equal(i, ref_i)
+        np.testing.assert_array_equal(t, ref_t)
+        assert g.home is g.home
+        with pytest.raises(ValueError):
+            i[0] = 1
+
+    def test_paper_grid_has_room(self):
+        g = build_uniform(0.0, 25.0, 5001)
+        assert 0.8e-9 * g.dx < g.home_reach < 1e-9 * g.dx
+
+    def test_no_room_far_from_zero(self):
+        # a 1 m road at 1e7 m: its nodes round by far more than the snap tolerance
+        assert build_uniform(1e7, 1e7 + 1.0, 30).home_reach == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.sampled_from([2, 3, 7, 30, 501, 5001, 100001]),
+           x_lo=st.one_of(st.sampled_from([0.0, -3.7, 12.5]), st.floats(-1e4, 1e4)),
+           width=st.floats(1e-3, 1e4), side=st.sampled_from([-1.0, 1.0]),
+           share=st.sampled_from([0.0, 0.5, 0.999, 1.0]))
+    def test_feet_short_of_the_reach_locate_home(self, m, x_lo, width, side, share):
+        g = build_uniform(x_lo, x_lo + width, m)
+        reach = g.home_reach
+        if reach == 0.0:  # no displacement is short of it
+            return
+        # the largest displacement under the reach, or a share of it
+        s = side * (np.nextafter(reach, 0.0) if share == 1.0 else share * reach)
+        i, t = locate(g.nodes + s, g)
+        j = np.arange(m)
+        np.testing.assert_array_equal(i, np.minimum(j, m - 2))
+        np.testing.assert_array_equal(t, j - np.minimum(j, m - 2))
+        np.testing.assert_array_equal(i, g.home[0])
+        np.testing.assert_array_equal(t, g.home[1])
 
 
 class TestP1Interpolate:

@@ -248,6 +248,44 @@ class TestHamiltonianStep:
         np.testing.assert_array_equal(vals, ref_vals)
         np.testing.assert_array_equal(u_idx, ref_u)
 
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), m=st.integers(2, 40),
+           dt=st.sampled_from([0.0, 0.01, 0.05, 0.5, 2.0]),
+           x_lo=st.sampled_from([0.0, -3.7, 12.5, 1e7]), width=st.sampled_from([1.0, 0.3, 25.0]))
+    def test_still_columns_match_the_full_search(self, data, n, m, dt, x_lo, width):
+        # the window's edges: empty columns, densities on both sides of the still
+        # threshold, over-jammed cells whose feet reach far left of the cap's
+        # reach, non-finite V_next beside still columns; at x_lo = 1e7 the grid
+        # proves no foot home and every column moves
+        g = build_uniform(x_lo, x_lo + width, m)
+        edge = g.home_reach / (2.0 * P.a * dt) if dt else 1.0
+        # feet within the snap tolerance up to 2*edge, past it from about 2.2*edge
+        near = st.sampled_from([edge, np.nextafter(edge, 0.0), np.nextafter(edge, 2.0), 2.0 * edge,
+                                0.5 * edge, 10.0 * edge, 1e3 * edge])
+        density = st.one_of(st.just(0.0), near, st.floats(0.0, 1.0), st.sampled_from([1.5, 6.35, 50.0]))
+        columns = data.draw(st.lists(st.sampled_from(["empty", "near", "any"]), min_size=m, max_size=m))
+        rho = np.zeros((n, m))
+        for j, kind in enumerate(columns):
+            if kind != "empty":
+                rho[:, j] = data.draw(arrays(float, n, elements=near if kind == "near" else density))
+        v_next = data.draw(_value_slices(n, m))
+        for _ in range(data.draw(st.integers(0, 2))):
+            a, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, m - 1))
+            v_next[a, j] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+        vals, u_idx = hamiltonian_step(v_next, rho, g, dt, U11, C, P)
+        ref_vals, ref_u = _full_search(v_next, rho, g, dt, U11, C, P)
+        np.testing.assert_array_equal(vals, ref_vals)
+        np.testing.assert_array_equal(u_idx, ref_u)
+
+    def test_infinity_beside_a_still_column_gives_nan(self):
+        # P1 at a still node j reads V_next[j + 1] with weight 0, and 0*inf is NaN
+        g = build_uniform(0.0, 1.0, 5)
+        v_next = np.array([[1.0, 2.0, np.inf, 3.0, 4.0]])
+        vals, u_idx = hamiltonian_step(v_next, np.zeros((1, 5)), g, 0.1, U3, C, P)
+        assert np.isnan(vals[0, 1]) and np.isinf(vals[0, 2])
+        np.testing.assert_array_equal(u_idx, 2)
+        np.testing.assert_array_equal(vals, _full_search(v_next, np.zeros((1, 5)), g, 0.1, U3, C, P)[0])
+
     def test_strict_fall_without_margin_is_not_enough(self):
         # V_next falls strictly across the reach window of node 0, yet level 8
         # computes one ulp below the top foot: only the margin keeps this cell
@@ -400,6 +438,43 @@ class TestQviBackwardStep:
         q = q_target[a, j]
         np.testing.assert_array_equal(v[a, j], w[q - 1, j] + kappa * np.abs(a + 1 - q))
         assert np.all(v[a, j] < w[a, j])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), m=st.integers(1, 12),
+           kappa=st.sampled_from([0.2, 0.5, 1.0, 3.0, math.inf]))
+    def test_columns_at_the_kappa_edge(self, data, n, m, kappa):
+        # column spreads of exactly kappa (a switch may tie or win) and one ulp
+        # below it (the own lane wins), beside random columns
+        w = np.empty((n, m))
+        for j in range(m):
+            spread = data.draw(st.sampled_from(["kappa", "ulp below", "any"]))
+            if spread == "any" or math.isinf(kappa):
+                w[:, j] = data.draw(arrays(float, n, elements=st.floats(-10.0, 10.0)))
+                continue
+            gap = kappa if spread == "kappa" else np.nextafter(kappa, 0.0)
+            w[:, j] = data.draw(st.sampled_from([0.0, gap]))
+            w[data.draw(st.integers(0, n - 1)), j] = gap
+            w[data.draw(st.integers(0, n - 1)), j] = 0.0
+        psi, target = jump_operator(w, CostParams(kappa=kappa, epsilon=1e-5))
+        v_one, q_one = _iterated_closure(w, kappa, passes=1)
+        np.testing.assert_array_equal(psi, v_one)
+        np.testing.assert_array_equal(target, q_one)
+
+    def test_a_spread_that_rounds_to_kappa_can_switch(self):
+        # lane 1 - lane 2 is 1 + 2**-53 exactly, which rounds to kappa = 1, yet
+        # lane 2 + kappa rounds to 0.25 - 2**-53, below lane 1
+        w = np.array([[0.25], [-0.75 - 2.0 ** -53]])
+        assert w[0, 0] - w[1, 0] == 1.0
+        psi, target = jump_operator(w, C)
+        np.testing.assert_array_equal(target, [[2], [2]])
+        assert psi[0, 0] == 0.25 - 2.0 ** -53
+
+    def test_a_nan_lane_spreads_across_its_node(self):
+        w = np.array([[0.0, 1.0], [np.nan, 1.05]])
+        psi, target = jump_operator(w, C)
+        assert np.isnan(psi[:, 0]).all()
+        np.testing.assert_array_equal(psi[:, 1], w[:, 1])
+        np.testing.assert_array_equal(target, [[1, 1], [2, 2]])
 
     def test_exact_tie_takes_no_switch(self):
         # lane 6 ties staying (-0.5) with jumping to lane 1 (-1.5 + 5*0.2). The

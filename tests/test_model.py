@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lanemfg.model import (
     CostParams,
@@ -10,6 +13,7 @@ from lanemfg.model import (
     critical_density,
     flux_eval,
     max_flux,
+    moving_span,
     running_cost,
     switching_cost,
     terminal_value,
@@ -121,6 +125,58 @@ class TestTransportSpeed:
         m = rho.shape[1]
         np.testing.assert_array_equal(transport_speed(rho, P, m + extra, 0.75),
                                       transport_speed(rho, P, m - 1, 0.75))
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4), m=st.integers(1, 30),
+           dt=st.sampled_from([0.0, 0.5, 2.0, 7.0]))
+    def test_span_is_the_whole_roads_columns(self, data, n, m, dt):
+        rho = data.draw(arrays(float, (n, m), elements=st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 1.5])))
+        lo = data.draw(st.integers(0, m))
+        hi = data.draw(st.integers(lo, m))
+        np.testing.assert_array_equal(transport_speed(rho, P, dt, 1.0, (lo, hi)),
+                                      transport_speed(rho, P, dt, 1.0)[:, lo:hi])
+
+
+class TestMovingSpan:
+    # under P, a = 3: at dt = 0.5 and still = 1e-6 a column with rho <= 3.3e-7
+    # moves less than 1e-6, one with rho = 3.4e-7 may not
+
+    def test_columns_around_the_moving_ones(self):
+        rho = np.zeros((2, 8))
+        rho[0, 2] = 3.4e-7
+        rho[1, 5] = 0.3
+        rho[1, 6] = 3.3e-7
+        assert moving_span(rho, P, 0.5, 1e-6) == (2, 6)
+
+    def test_empty_when_nothing_moves(self):
+        assert moving_span(np.full((3, 5), 3.3e-7), P, 0.5, 1e-6) == (0, 0)
+        assert moving_span(np.full((1, 5), -1.0), P, 0.5, 1e-6) == (0, 0)
+
+    def test_zero_step_moves_only_the_over_jammed(self):
+        rho = np.array([[0.0, 1.0, 0.5, 1.0 + 1e-12, 0.2]])
+        assert moving_span(rho, P, 0.0, 1e-6) == (3, 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_density_moves(self, bad):
+        rho = np.zeros((2, 5))
+        rho[1, 3] = bad
+        assert moving_span(rho, P, 0.5, 1e-6) == (3, 4)
+
+    def test_no_room_moves_all_but_the_empty(self):
+        rho = np.array([[-1e-300, 0.0, 1e-300, 0.0, 1e-300], [-1.0, -2.0, 0.0, 0.0, 0.0]])
+        assert moving_span(rho, P, 0.5, 0.0) == (2, 5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4), m=st.integers(2, 30),
+           dt=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), still=st.floats(1e-12, 1e-3))
+    def test_still_columns_move_less_than_still(self, data, n, m, dt, still):
+        edge = still / (2.0 * P.a * dt) if dt else 1.0
+        near = st.sampled_from([0.0, edge, np.nextafter(edge, 0.0), np.nextafter(edge, 2.0), 1.0, 1.5])
+        rho = data.draw(arrays(float, (n, m), elements=st.one_of(near, st.floats(0.0, 2.0))))
+        lo, hi = moving_span(rho, P, dt, still)
+        step = np.abs(dt * transport_speed(rho, P, dt, 1.0))
+        assert np.all(np.delete(step, np.s_[lo:hi], axis=1) < still)
 
 
 class TestSwitchingCost:

@@ -439,6 +439,46 @@ def test_forward_step_invariants(data, n, m, a, b, rho_max):
     assert np.all(out >= 0.0)
 
 
+def _whole_grid_step(rho, vel, src, g, dt):
+    """forward_step with every lane's G operator on the whole road: the reference for the window."""
+    pre = dt * src + rho
+    clamped = float(-(np.minimum(pre, 0.0) * g.cell_widths).sum())
+    pre = np.maximum(pre, 0.0)
+    out = np.empty_like(rho)
+    outflow = 0.0
+    for a in range(rho.shape[0]):
+        out[a], lost = g_operator(pre[a], g.nodes + dt * vel[a], g)
+        outflow += lost
+    return out, outflow, clamped
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), m=st.integers(2, 40),
+       dt=st.sampled_from([0.0, 0.01, 0.5, 2.0]),
+       x_lo=st.sampled_from([0.0, -3.7, 1e7]), width=st.sampled_from([1.0, 25.0]))
+def test_forward_step_matches_the_whole_grid_push(data, n, m, dt, x_lo, width):
+    # displacements from none through just under and over the still reach to
+    # feet that leave through the grace zone or beyond; at x_lo = 1e7 no foot
+    # is proven home and every lane is pushed whole
+    g = build_uniform(x_lo, x_lo + width, m)
+    reach = g.home_reach
+    # a foot 2*reach away misses the snap tolerance; lanes with few, short moves
+    # keep still nodes outside their window
+    near = st.sampled_from([0.0, np.nextafter(reach, 0.0), reach, -reach, 2.0 * reach, 1e3 * reach])
+    disp = np.empty((n, m))
+    for a in range(n):
+        span = data.draw(st.sampled_from([1.5, m + 2.0]))
+        cells = st.floats(-span, span).map(lambda c: c * g.dx)
+        disp[a] = data.draw(arrays(float, m, elements=st.one_of(near, near, near, cells)))
+    vel = disp / dt if dt else disp
+    rho = data.draw(arrays(float, (n, m), elements=st.one_of(st.just(0.0), st.floats(0.0, 2.0))))
+    src = data.draw(arrays(float, (n, m), elements=st.floats(-1.0, 1.0)))
+    out, outflow, clamped = forward_step(rho, vel, src, g, dt)
+    ref_out, ref_outflow, ref_clamped = _whole_grid_step(rho, vel, src, g, dt)
+    np.testing.assert_array_equal(out, ref_out)
+    assert (outflow, clamped) == (ref_outflow, ref_clamped)
+
+
 def _assert_step_ledger(rho, out, outflow, clamped, g):
     """Mass after = before - outflow + clamped, up to the rounding of the sums on each side.
 
