@@ -3,8 +3,9 @@
 Outputs per run: one CSV per requested snapshot time with columns
 t,x,lane,rho,V,u,S (17 significant digits, one row per node and lane,
 lane-major), and a summary.json with iteration counts, residuals, the
-per-snapshot mass ledger and the boundary-outflow ledger. Runs are
-deterministic: identical scenarios produce byte-identical CSVs.
+per-snapshot mass ledger and the boundary-outflow ledger. Each distinct
+time level gets its own file (_snapshot_names). Runs are deterministic:
+identical scenarios produce byte-identical CSVs.
 
 Exit codes: 0 success (including flagged non-convergence), 1 scenario
 error, 2 runtime solver error.
@@ -13,6 +14,7 @@ error, 2 runtime solver error.
 from __future__ import annotations
 
 import argparse
+import collections
 import itertools
 import json
 import logging
@@ -31,16 +33,36 @@ MODES = ("mfg", "uncontrolled")
 
 _fmt = "{:.17g}".format
 
+# Rows formatted and written at a time: a snapshot's text is never held whole.
+ROWS_PER_WRITE = 1024
+
 
 def _write_snapshot(path: Path, t: float, x, rho, values, u, s):
     """One CSV slice from (n, M) columns rho, V, u and integer S, rows lane-major."""
     n, m = rho.shape
-    lanes = itertools.chain.from_iterable(itertools.repeat(str(a), m) for a in range(1, n + 1))
-    cols = (map(_fmt, c.ravel().tolist()) for c in (rho, values, u))
-    rows = zip(itertools.repeat(_fmt(t)), list(map(_fmt, x.tolist())) * n, lanes, *cols,
-               map(str, s.ravel().tolist()))
-    path.write_text("t,x,lane,rho,V,u,S\n" + "\n".join(map(",".join, rows)) + "\n",
-                    encoding="utf-8", newline="\n")
+    t_text = _fmt(t)
+    x_text = list(map(_fmt, x.tolist()))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("t,x,lane,rho,V,u,S\n")
+        for a in range(n):
+            lane = str(a + 1)
+            for lo in range(0, m, ROWS_PER_WRITE):
+                hi = lo + ROWS_PER_WRITE
+                cols = (map(_fmt, c[a, lo:hi].tolist()) for c in (rho, values, u))
+                rows = zip(itertools.repeat(t_text), x_text[lo:hi], itertools.repeat(lane), *cols,
+                           map(str, s[a, lo:hi].tolist()))
+                fh.write("\n".join(map(",".join, rows)) + "\n")
+
+
+def _snapshot_names(levels, dt: float) -> list[str]:
+    """One file name per level: snapshot_t{t:g}.csv, where that name is one level's alone.
+
+    {t:g} keeps 6 significant digits, so distinct levels can share it; each of
+    those levels' files also names its level, snapshot_t{t:g}_k{level}.csv.
+    """
+    short = {k: f"snapshot_t{k * dt:g}" for k in levels}
+    owners = collections.Counter(short.values())
+    return [f"{short[k]}.csv" if owners[short[k]] == 1 else f"{short[k]}_k{k}.csv" for k in levels]
 
 
 def run(scn: Scenario, mode: str, out_dir) -> dict:
@@ -74,9 +96,8 @@ def run(scn: Scenario, mode: str, out_dir) -> dict:
         convergence = {"converged": True, "iterations": 0, "residual_history": []}
 
     snapshots = []
-    for k, v_k, u_k, s_k in zip(levels, values, u, s):
+    for k, name, v_k, u_k, s_k in zip(levels, _snapshot_names(levels, tg.dt), values, u, s):
         t_k = k * tg.dt
-        name = f"snapshot_t{t_k:g}.csv"
         _write_snapshot(out / name, t_k, g.nodes, sol.rho_traj[k], v_k, u_k, s_k)
         per_lane, total = transport.total_mass(sol.rho_traj[k], g)
         snapshots.append({

@@ -3,10 +3,12 @@
 Each outer iteration runs the density forward under the current feedback
 policies, averages the result into the retained trajectory, and re-solves
 the value function backward on that average to improve the policies. The
-loop holds one iterate, a BackwardResult, and updates it in place: the run
-is averaged into its own buffer, and each backward solve overwrites the
-previous values and policies level by level, taking the policy and value
-changes on each level before it overwrites it. Both sweeps move at
+loop holds one iterate, a BackwardResult, and updates it in place: the
+forward sweep hands each level to a sink that averages it into the
+iterate's density as soon as it is made, so no run is stored whole, and
+each backward solve overwrites the previous values and policies level by
+level. Both overwrites take each level's change (density, policy, value)
+before they overwrite it. Both sweeps move at
 model.transport_speed, so each backward solve best-responds to the
 dynamics the forward run simulates. Iteration stops when the fraction of
 changed policy cells and the sup-norm value change both fall under their
@@ -68,7 +70,7 @@ class MfgSolution(transport.TransportRun):
     residual_history: list[tuple[float, float, float]]
 
 
-def _forward(rho0, g, tg, p, controls, u_traj, q_traj) -> transport.TransportRun:
+def _forward(rho0, g, tg, p, controls, u_traj, q_traj, sink=None) -> transport.TransportRun:
     def velocity(k, rho):
         # outside the span every foot moves less than home_reach and stays home, as at speed 0
         lo, hi = moving_span(rho, p, tg.dt, g.home_reach)
@@ -80,7 +82,26 @@ def _forward(rho0, g, tg, p, controls, u_traj, q_traj) -> transport.TransportRun
     def source(k, rho):
         return transport.mfg_source(rho, q_traj[k], p)
 
-    return transport.sweep(rho0, g, tg, velocity, source)
+    return transport.sweep(rho0, g, tg, velocity, source, sink=sink)
+
+
+def _averager(mix, prev, it: int, moved, g: SpatialGrid):
+    """A sweep sink that averages run level k into mix[k] with weight 1/it.
+
+    prev is the mix the run answers (mix itself from the second iteration
+    on); the first iteration copies the run. Before mix[k] is overwritten,
+    moved[k] takes the level's per-lane L1 change of the mix.
+    """
+    def sink(k, run_k):
+        new = run_k
+        if it > 1:
+            new = run_k - prev[k]
+            new /= it
+            new += prev[k]
+        moved[k] = np.abs(prev[k] - new) @ g.cell_widths
+        mix[k] = new
+
+    return sink
 
 
 def initialize_policies(rho0, g: SpatialGrid, tg: TimeGrid, controls: hjb.ControlSet,
@@ -91,30 +112,27 @@ def initialize_policies(rho0, g: SpatialGrid, tg: TimeGrid, controls: hjb.Contro
     return hjb.solve_backward(frozen, g, tg, controls, c, p, tgt)
 
 
-def residuals(prev_rho, nxt: hjb.BackwardResult, g: SpatialGrid, tg: TimeGrid):
+def residuals(moved, nxt: hjb.BackwardResult, tg: TimeGrid):
     """(policy-change fraction, value sup-norm change, density L1 change).
 
     nxt is a backward solve written over the previous iterate, which reports
-    the policy and value changes; the density change compares the trajectory
-    nxt answers with prev_rho, the one the previous iterate answered, level
-    by level.
+    the policy and value changes. moved (N+1, n) holds, per level and lane,
+    the L1 change from the trajectory the previous iterate answered to the
+    one nxt answers, as the mixing sink took it.
     """
-    moved = np.empty(nxt.rho_traj.shape[:2])
-    for k, (old, new) in enumerate(zip(prev_rho, nxt.rho_traj)):
-        moved[k] = np.abs(old - new) @ g.cell_widths
     return nxt.policy_changes / nxt.u_idx.size, nxt.value_change, float(moved.sum() * tg.dt)
 
 
 def peak_bytes(lanes: int, node_count: int, step_count: int) -> int:
     """About the most memory `solve` holds at once, in bytes.
 
-    From the second outer iteration on, the forward run and then the backward
-    solve hold 3.5 float64 (N+1, n, M) arrays: the iterate's values, its two
-    int16 policy arrays, the previous mix and the new run, mixed in place.
-    That is rounded up to 4 for a step's work arrays, and a step's switch
-    stage adds under two (n, n, M) arrays.
+    The forward run and then the backward solve hold 2.5 float64 (N+1, n, M)
+    arrays: the iterate's values, its two int16 policy arrays and the mix,
+    into which the run is averaged level by level. That is rounded up to 3
+    for a step's work arrays, and a step's switch stage adds under two
+    (n, n, M) arrays.
     """
-    return 8 * lanes * node_count * (4 * (step_count + 1) + 2 * lanes)
+    return 8 * lanes * node_count * (3 * (step_count + 1) + 2 * lanes)
 
 
 def solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams, c: CostParams,
@@ -133,17 +151,17 @@ def solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams, c: CostParams,
     rho0 = np.atleast_2d(np.asarray(rho0, dtype=float))
     current = initialize_policies(rho0, g, tg, controls, c, p, tgt)
 
+    # the only density trajectory the loop holds; the first run is copied into it,
+    # while the mix it answers is rho0 frozen in time, a read-only broadcast
+    rho_mix = np.empty((tg.step_count + 1,) + rho0.shape)
+    moved = np.empty(rho_mix.shape[:2])
     history: list[tuple[float, float, float]] = []
     converged = False
     for it in range(1, opts.max_outer_iters + 1):
-        # averaged in place into the new run's buffer: each trajectory is n*M*(N+1) floats
-        rho_mix = _forward(rho0, g, tg, p, controls, current.u_idx, current.q_target).rho_traj
-        if it > 1:
-            rho_mix -= current.rho_traj
-            rho_mix /= it
-            rho_mix += current.rho_traj
+        _forward(rho0, g, tg, p, controls, current.u_idx, current.q_target,
+                 sink=_averager(rho_mix, current.rho_traj, it, moved, g))
         nxt = hjb.solve_backward(rho_mix, g, tg, controls, c, p, tgt, into=current)
-        res = residuals(current.rho_traj, nxt, g, tg)
+        res = residuals(moved, nxt, tg)
         history.append(res)
         current = nxt
         if res[0] <= opts.tol_policy and res[1] <= tol_value:

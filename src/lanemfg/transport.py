@@ -68,7 +68,7 @@ class TransportRun:
     outflow_cum[k] plus clamped_cum[k].
     """
 
-    rho_traj: np.ndarray  # (N+1, n, M)
+    rho_traj: np.ndarray | None  # (N+1, n, M); None when a sink took the levels
     outflow_cum: np.ndarray  # (N+1,)
     clamped_cum: np.ndarray  # (N+1,)
     clamp_flagged: bool = False
@@ -205,31 +205,43 @@ def total_mass(rho, g: SpatialGrid):
     return per_lane, float(per_lane.sum())
 
 
-def sweep(rho0, g: SpatialGrid, tg: TimeGrid, velocity_at, source_at) -> TransportRun:
+def sweep(rho0, g: SpatialGrid, tg: TimeGrid, velocity_at, source_at, sink=None) -> TransportRun:
     """March the density forward over the whole horizon.
 
     velocity_at(k, rho_k) and source_at(k, rho_k) supply the per-lane,
     per-node velocity and source for step k -> k+1. The first step that
     clamps more than CLAMP_WARN_FRACTION of its total mass (so any mass,
     when that total is not positive) sets clamp_flagged and logs a warning.
+
+    Without a sink every level is stored in the run's rho_traj. With one,
+    sink(k, rho_k) receives levels 0..N in order, each once and as soon as
+    it exists, and must not write into it; the sweep then holds only the
+    level it steps from, and the run's rho_traj is None.
     """
-    rho0 = np.atleast_2d(np.asarray(rho0, dtype=float))
+    # C order, as a stored level is: the kernels' reductions then see the same layout
+    rho0 = np.ascontiguousarray(np.atleast_2d(rho0), dtype=float)
     n_steps = tg.step_count
-    traj = np.empty((n_steps + 1,) + rho0.shape)
-    traj[0] = rho0
+    traj = None
+    if sink is None:
+        traj = np.empty((n_steps + 1,) + rho0.shape)
+        sink = traj.__setitem__
     outflow = np.zeros(n_steps + 1)
     clamped = np.zeros(n_steps + 1)
     flagged = False
     dt = tg.dt
+    rho = rho0
+    sink(0, rho)
     for k in range(n_steps):
-        vel = velocity_at(k, traj[k])
-        src = source_at(k, traj[k])
-        traj[k + 1], lost, added = forward_step(traj[k], vel, src, g, dt)
+        vel = velocity_at(k, rho)
+        src = source_at(k, rho)
+        nxt, lost, added = forward_step(rho, vel, src, g, dt)
         outflow[k + 1] = outflow[k] + lost
         clamped[k + 1] = clamped[k] + added
         if added > 0.0 and not flagged:
-            flagged = added > CLAMP_WARN_FRACTION * float((traj[k] * g.cell_widths).sum())
+            flagged = added > CLAMP_WARN_FRACTION * float((rho * g.cell_widths).sum())
             if flagged:
                 logger.warning("step %d clamped %.3e of mass (> %.0e of total)",
                                k, added, CLAMP_WARN_FRACTION)
+        sink(k + 1, nxt)
+        rho = nxt
     return TransportRun(rho_traj=traj, outflow_cum=outflow, clamped_cum=clamped, clamp_flagged=flagged)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lanemfg import cli
-from lanemfg.cli import _write_snapshot, main, run
+from lanemfg.cli import ROWS_PER_WRITE, _snapshot_names, _write_snapshot, main, run
 from lanemfg.grid import build_uniform
 from lanemfg.scenario import scenario_from_dict, write_scenario
 
@@ -79,6 +80,19 @@ def _row_by_row_snapshot(path, t, g, rho, values, u_levels, u_idx, q_target):
                 f"{ts},{fmt(g.nodes[j])},{a + 1},{fmt(rho[a, j])},{fmt(v)},{fmt(u)},{s}"
             )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def _whole_text_snapshot(path, t, x, rho, values, u, s):
+    """The writer that built a snapshot's whole text before writing it: the reference
+    for the bytes of the chunked writer."""
+    fmt = "{:.17g}".format
+    n, m = rho.shape
+    lanes = itertools.chain.from_iterable(itertools.repeat(str(a), m) for a in range(1, n + 1))
+    cols = (map(fmt, c.ravel().tolist()) for c in (rho, values, u))
+    rows = zip(itertools.repeat(fmt(t)), list(map(fmt, x.tolist())) * n, lanes, *cols,
+               map(str, s.ravel().tolist()))
+    path.write_text("t,x,lane,rho,V,u,S\n" + "\n".join(map(",".join, rows)) + "\n",
+                    encoding="utf-8", newline="\n")
 
 
 # Column entries: the edge values plus any float64, NaN and infinities included.
@@ -231,6 +245,40 @@ class TestWriteSnapshot:
             _row_by_row_snapshot(ref, t, g, rho, values, u_levels, u_idx, q_target)
             _write_snapshot(out, t, g.nodes, rho, *cols)
             assert out.read_bytes() == ref.read_bytes()
+
+    # more nodes than one write takes, and not a multiple of it
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_chunks_equal_whole_text(self, tmp_path, n):
+        m = 2 * ROWS_PER_WRITE + 37
+        g = build_uniform(-3.0, 50.0, m)
+        rng = np.random.default_rng(n)
+        special = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-310]
+        rho, values, u = (rng.uniform(-2.0, 2.0, (n, m)) for _ in range(3))
+        for col in (rho, values, u):
+            col.reshape(-1)[rng.choice(n * m, 40, replace=False)] = np.resize(special, 40)
+        s = rng.integers(-5, 6, (n, m))
+        ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
+        _whole_text_snapshot(ref, 0.1234576, g.nodes, rho, values, u, s)
+        _write_snapshot(out, 0.1234576, g.nodes, rho, values, u, s)
+        assert out.read_bytes() == ref.read_bytes()
+        assert len(out.read_text().splitlines()) == 1 + n * m
+
+
+class TestSnapshotNames:
+    def test_distinct_levels_that_share_a_time_name_get_their_own_files(self):
+        # horizon 0.124 in 155000 steps: t = 0.1234576 and 0.1234584 both print as 0.123458
+        dt = 0.124 / 155000
+        levels = [0, 154322, 77500, 154323, 155000, 154322]
+        assert _snapshot_names(levels, dt) == [
+            "snapshot_t0.csv", "snapshot_t0.123458_k154322.csv", "snapshot_t0.062.csv",
+            "snapshot_t0.123458_k154323.csv", "snapshot_t0.124.csv",
+            "snapshot_t0.123458_k154322.csv"]
+
+    def test_names_without_a_collision_keep_the_time_alone(self):
+        levels = [0, 5, 10, 20, 20]
+        assert _snapshot_names(levels, 0.1) == [
+            "snapshot_t0.csv", "snapshot_t0.5.csv", "snapshot_t1.csv", "snapshot_t2.csv",
+            "snapshot_t2.csv"]
 
 
 # Runs the CLI in a fresh interpreter with the benchmark's per-layer tracer

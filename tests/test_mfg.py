@@ -6,7 +6,8 @@ import pytest
 from lanemfg import transport
 from lanemfg.grid import TimeGrid, build_uniform
 from lanemfg.hjb import BackwardResult, ControlSet, qvi_backward_step, solve_backward
-from lanemfg.mfg import SolverOptions, _forward, initialize_policies, peak_bytes, residuals, solve
+from lanemfg.mfg import (SolverOptions, _averager, _forward, initialize_policies, peak_bytes,
+                         residuals, solve)
 from lanemfg.model import CostParams, FluxParams, TargetSet
 
 P = FluxParams(a=3.0, b=1.0, rho_max=1.0)
@@ -44,6 +45,18 @@ def _mixed_out_of_place(rho0, g, tg, tgt, opts):
         if history[-1][0] <= opts.tol_policy and history[-1][1] <= tol_value:
             break
     return current, history
+
+
+def _mixed(prev, run, it, g):
+    """The mix of run into prev with weight 1/it, made level by level by solve's sink,
+    and the per-level density change it took. From the second iteration on the sink
+    overwrites the mix it reads, here a copy of prev."""
+    mix = np.array(prev) if it > 1 else np.empty_like(run)
+    moved = np.empty(run.shape[:2])
+    sink = _averager(mix, mix if it > 1 else prev, it, moved, g)
+    for k, level in enumerate(run):
+        sink(k, level)
+    return mix, moved
 
 
 def _overwritable(res):
@@ -99,16 +112,18 @@ class TestResiduals:
     def test_identical_iterates(self):
         g, tg, tgt, rho0 = small_problem()
         it = initialize_policies(rho0, g, tg, U, C, P, tgt)
-        nxt = solve_backward(it.rho_traj, g, tg, U, C, P, tgt, into=_overwritable(it))
-        assert residuals(it.rho_traj, nxt, g, tg) == (0.0, 0.0, 0.0)
+        mix, moved = _mixed(it.rho_traj, it.rho_traj, 1, g)
+        nxt = solve_backward(mix, g, tg, U, C, P, tgt, into=_overwritable(it))
+        assert residuals(moved, nxt, tg) == (0.0, 0.0, 0.0)
 
     def test_single_cell_flip_fraction(self):
         g, tg, tgt, rho0 = small_problem()
         a = initialize_policies(rho0, g, tg, U, C, P, tgt)
         b = _overwritable(a)
         b.u_idx[3, 1, 17] = 0 if b.u_idx[3, 1, 17] != 0 else 1
-        nxt = solve_backward(a.rho_traj, g, tg, U, C, P, tgt, into=b)
-        pol, val, den = residuals(a.rho_traj, nxt, g, tg)
+        mix, moved = _mixed(a.rho_traj, a.rho_traj, 1, g)
+        nxt = solve_backward(mix, g, tg, U, C, P, tgt, into=b)
+        pol, val, den = residuals(moved, nxt, tg)
         assert pol == pytest.approx(1.0 / a.u_idx.size)
         assert val == 0.0 and den == 0.0
 
@@ -117,19 +132,30 @@ class TestResiduals:
         a = initialize_policies(rho0, g, tg, U, C, P, tgt)
         b = _overwritable(a)
         b.values[...] += 2.5
-        nxt = solve_backward(a.rho_traj, g, tg, U, C, P, tgt, into=b)
-        pol, val, den = residuals(a.rho_traj, nxt, g, tg)
+        mix, moved = _mixed(a.rho_traj, a.rho_traj, 1, g)
+        nxt = solve_backward(mix, g, tg, U, C, P, tgt, into=b)
+        pol, val, den = residuals(moved, nxt, tg)
         assert pol == 0.0
         assert val == pytest.approx(2.5)
         assert den == 0.0
 
     def test_density_change_matches_whole_array_formula(self):
+        self._check_density_change(1)  # the first iteration copies the run
+
+    def test_density_change_of_a_later_mix_matches_whole_array_formula(self):
+        self._check_density_change(3)  # averaged in with weight 1/3
+
+    @staticmethod
+    def _check_density_change(it):
         g, tg, tgt, rho0 = small_problem(n_lanes=3)
         a = initialize_policies(rho0, g, tg, U, C, P, tgt)
         run = _forward(rho0, g, tg, P, U, a.u_idx, a.q_target)
-        fresh = solve_backward(run.rho_traj, g, tg, U, C, P, tgt)
-        nxt = solve_backward(run.rho_traj, g, tg, U, C, P, tgt, into=_overwritable(a))
-        assert residuals(a.rho_traj, nxt, g, tg) == _whole_array_residuals(a, fresh, g, tg)
+        ref = run.rho_traj if it == 1 else a.rho_traj + (run.rho_traj - a.rho_traj) / it
+        fresh = solve_backward(ref, g, tg, U, C, P, tgt)
+        mix, moved = _mixed(a.rho_traj, run.rho_traj, it, g)
+        assert mix.tobytes() == ref.tobytes()
+        nxt = solve_backward(mix, g, tg, U, C, P, tgt, into=_overwritable(a))
+        assert residuals(moved, nxt, tg) == _whole_array_residuals(a, fresh, g, tg)
 
 
 class TestArgminShiftInvariance:
@@ -241,12 +267,12 @@ class TestSolve:
 
     # the pins hold once a step's work arrays, about 24 (n, M) slices here, are under
     # 0.1 trajectory: at 401 levels they are 0.06 of one, at 201 they would be 0.12
-    @pytest.mark.parametrize("iterations, held", [(3, 3.5), (1, 2.5)],
-                             ids=["harmonic", "one-iteration"])
-    def test_peak_memory_within_estimate(self, iterations, held):
+    @pytest.mark.parametrize("iterations", [3, 1], ids=["harmonic", "one-iteration"])
+    def test_peak_memory_within_estimate(self, iterations):
         # at the peak, float64 arrays of (N+1, n, M) dominate what solve holds: the
-        # iterate's values and int16 policies, the new run and, after one
-        # iteration, the previous mix
+        # iterate's values and int16 policies and the mix, into which each run is
+        # averaged level by level as it is made
+        held = 2.5
         n_lanes, m, n_steps = 2, 401, 400
         g, tg, tgt, rho0 = small_problem(n_lanes=n_lanes, m=m, n_steps=n_steps, horizon=4.0)
         opts = SolverOptions(max_outer_iters=iterations, tol_policy=0.0, tol_value=0.0)

@@ -416,6 +416,40 @@ class TestSweepClampFlag:
         assert all(w.startswith("step 0 clamped") for w in warnings)
 
 
+def _sink_into_node_6(k, rho):
+    src = np.zeros_like(rho)
+    src[0, 6] = -0.6  # lane 0 holds nothing at x = 3: each step clamps 0.3 there
+    return src
+
+
+class TestSweepSink:
+    G = build_uniform(0.0, 4.0, 9)  # dx 0.5
+
+    @pytest.mark.parametrize("velocity_at, source_at, clamps", [
+        (lambda k, r: np.full_like(r, 0.5), _sink_into_node_6, True),
+        # two cells a step: the humps leave past the right end
+        (lambda k, r: np.full_like(r, 2.0),
+         lambda k, r: shvetsov_source(r, (4.0, 8.0), (8.0, 4.0), P), False),
+    ], ids=["clamps", "exits"])
+    def test_sink_gets_every_stored_level_once_in_order(self, velocity_at, source_at, clamps):
+        tg = TimeGrid(horizon=3.0, step_count=6)
+        rho0 = np.stack([bump(self.G.nodes, 1.0, 1.5), bump(self.G.nodes, 2.5, 1.0)])
+        stored = sweep(rho0, self.G, tg, velocity_at, source_at)
+        handed = []
+        run = sweep(rho0, self.G, tg, velocity_at, source_at,
+                    sink=lambda k, level: handed.append((k, level.copy())))
+        assert run.rho_traj is None
+        assert [k for k, _ in handed] == list(range(tg.step_count + 1))
+        for k, level in handed:
+            assert level.tobytes() == stored.rho_traj[k].tobytes()
+        assert run.outflow_cum.tobytes() == stored.outflow_cum.tobytes()
+        assert run.clamped_cum.tobytes() == stored.clamped_cum.tobytes()
+        assert run.clamp_flagged is stored.clamp_flagged is clamps
+        # one run clamps and keeps its mass inside, the other loses mass past the end
+        assert bool(stored.clamped_cum[-1] > 0.0) is clamps
+        assert bool(stored.outflow_cum[-1] > 0.0) is not clamps
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), n=st.integers(1, 4), m=st.integers(2, 30),
        a=st.floats(0.1, 10.0), b=st.floats(0.1, 10.0), rho_max=st.floats(0.1, 10.0))
