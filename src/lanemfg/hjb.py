@@ -19,9 +19,10 @@ transforms of sampled functions", 2012). Ties go to the own lane, then
 the smaller |b - a|, then the smaller b, so a lane switches only where
 a switch strictly improves on W.
 
-The Hamiltonian minimization reads V_next at only the top and the
-second-highest foot of a cell wherever that decides the argmin exactly,
-and runs the full search over every level elsewhere. The located foot is
+The Hamiltonian minimization reads V_next at only two feet of a cell,
+the top and the second-highest or the home and the lowest moving one,
+wherever that decides the argmin exactly, and runs the full search over
+every level elsewhere. The located foot is
 monotone in u, so every foot of a cell lies between its node and its top
 foot. Where the top foot locates onto the node itself ("home"), every
 candidate is the same number and the tie rule picks the top. Where the
@@ -29,16 +30,21 @@ speed is positive, V_next does not rise between the node and the top
 foot, and the top foot's value lies below the second foot's by a margin
 that outweighs the rounding of the P1 formula ("falling with margin"),
 every lower foot computes to at least the top's value. Both give u = 1
-and V = dt*l + V_next(top foot), bit for bit what the full search gives;
-hamiltonian_step spells out the bounds.
+and V = dt*l + V_next(top foot), bit for bit what the full search gives.
+The mirror rule settles the cells past a target: where the speed is
+positive, V_next does not fall between the node and the top foot, and
+u = 0's total lies below the lowest positive level's by the same margin
+("rising with margin"), every positive level totals strictly more than
+u = 0, so the cell takes u = 0 and V = dt*l + V_next(node) without the
+search. hamiltonian_step spells out the bounds.
 
 Both stages skip the columns where nothing can happen, as narrow-band
 level-set methods do (Adalsteinsson & Sethian 1995). A column is still
 when model.moving_span proves that no lane's foot moves by
 grid.home_reach: every foot then locates home, and the cell takes the
 top level at dt*l + P1(home) without its speed, its feet or the search.
-The speed, the feet, the rise count and the search run on the span
-between the first and the last moving column; the speed reads the
+The speed, the feet, the rise and fall counts and the search run on the
+span between the first and the last moving column; the speed reads the
 density up to its cap's reach beyond it. The switch stage runs its
 envelope only on the columns whose lanes spread by kappa or more, since
 below that no switch can strictly improve.
@@ -186,8 +192,24 @@ def hamiltonian_step(v_next, rho, g: SpatialGrid, dt: float, controls: ControlSe
       value, and adding dt*l rounds monotonically and keeps <=.
 
     The margin is needed: on a strictly falling window, rounding alone
-    can put a lower level one ulp below the top. Every other cell (a
-    rising window, a flat or near-flat one that misses the margin,
+    can put a lower level one ulp below the top. Of the cells left, one
+    takes u = 0, with value dt*l + P1(home), by the mirror rule:
+
+    - rising with margin: the step is > 0 and finite, V_next does not
+      fall over the same nodes (a NaN counts as a fall), and
+      fl(dt*l + P1(home)) < fl(dt*l + (P1(u1 foot) - 2E)), u1 the lowest
+      positive level. Every level l >= 1 locates at or right of u1's
+      foot, where the exact P1 is at least u1's, so it computes to at
+      least P1(u1 foot) - E, which is at least fl(P1(u1 foot) - 2E).
+      Adding dt*l rounds monotonically, so every such level totals
+      strictly more than u = 0 and the argmin is u = 0.
+
+    A window that does not fall is not enough: at rho near rho_max, dt*l
+    is so large that levels whose feet read more than the home still
+    total exactly u = 0's, and the tie goes to the largest of them; and,
+    as on a falling window, rounding can put a computed P1 below one it
+    exactly exceeds, which 2E covers. Every other cell (a window that
+    rises and falls, a flat or near-flat one that misses both margins,
     negative or non-finite speed, non-finite V_next) gets the full search
     over all levels, with the same expressions and tie rule, so the
     result is bitwise that of the full search.
@@ -196,7 +218,7 @@ def hamiltonian_step(v_next, rho, g: SpatialGrid, dt: float, controls: ControlSe
     is its home, so it takes the home rule without its speed being
     computed: P1 at g.home is the same expression, and 0*inf there is NaN
     as the search would give. E is taken over the nodes the span's feet
-    read, which bounds the rounding of every P1 the rule compares.
+    read, which bounds the rounding of every P1 the rules compare.
 
     Returns (values, u_idx).
     """
@@ -208,28 +230,31 @@ def hamiltonian_step(v_next, rho, g: SpatialGrid, dt: float, controls: ControlSe
 
     lo, hi = moving_span(rho, p, dt, g.home_reach)
     step = dt * transport_speed(rho, p, dt, g.dx, (lo, hi))
-    # the fast path's arrays are gone before the search builds its (cells, k) ones
-    top, (a, j) = _top_foot(v_next, g, step, u, lo)
-    ell = running_cost(rho, c, p)
-    values = dt * ell + top
+    # the fast paths' arrays are gone before dt*l and the search's (cells, k) ones are made
+    read, rising, (a, col) = _settle(v_next, rho, g, dt, u, c, p, step, lo)
+    cost = dt * running_cost(rho, c, p)
+    values = cost + read
     u_idx = np.full((n, m), k - 1)
+    u_idx.reshape(-1)[rising] = 0
     if a.size:
         # the full search over every control level
-        col = lo + j
-        i, t = locate(g.nodes[col, None] + step[a, j, None] * u, g)
-        total = dt * ell[a, col, None] + p1_at(v_next.reshape(-1), i + m * a[:, None], t)
+        i, t = locate(g.nodes[col, None] + step[a, col - lo, None] * u, g)
+        total = cost[a, col, None] + p1_at(v_next.reshape(-1), i + m * a[:, None], t)
         values[a, col] = np.min(total, axis=1)
         u_idx[a, col] = (k - 1) - np.argmin(total[:, ::-1], axis=1)
     return values, u_idx
 
 
-def _top_foot(v_next, g: SpatialGrid, step, u, lo: int):
-    """P1 of V_next at every cell's top foot, and the cells the full search must settle.
+def _settle(v_next, rho, g: SpatialGrid, dt: float, u, c: CostParams, p: FluxParams, step, lo: int):
+    """The fast paths of hamiltonian_step: what each cell reads, and which cells are left.
 
-    step holds dt*speed on the moving span, the columns lo, lo + 1, ...;
-    the top foot of every other column is its home. The cells are
-    (lanes, span columns) of those that neither the home nor the falling
-    rule of hamiltonian_step gives the top level.
+    u holds the control levels. step holds dt*speed on the moving span,
+    the columns lo, lo + 1, ...; the top foot of every other column is its
+    home. Returns (read, rising, search): P1 of V_next at the foot the
+    cell's argmin reads, which is the top foot except on the cells the
+    rising rule settles at u = 0, where it is the home; those cells, as
+    flat indices lane*M + column; and the cells the full search must
+    settle, as (lanes, columns).
     """
     n, m = v_next.shape
     v_flat = v_next.reshape(-1)
@@ -239,13 +264,14 @@ def _top_foot(v_next, g: SpatialGrid, step, u, lo: int):
     i_top, t_top = np.empty((n, m), dtype=i_home.dtype), np.empty((n, m))
     i_top[:], t_top[:] = i_home, t_home
     i_top[:, cols], t_top[:, cols] = locate(g.nodes[cols] + step * u[-1], g)
-    top = p1_at(v_flat, i_top + lane_start, t_top)
+    read = p1_at(v_flat, i_top + lane_start, t_top)
+    none = np.empty(0, dtype=int)
     if not step.size:
-        return top, (np.empty(0, dtype=int), np.empty(0, dtype=int))
+        return read, none, (none, none)
 
     # the span's top and second foot
     i_home, t_home = i_home[cols], t_home[cols]
-    i_span, t_span, top_span = i_top[:, cols], t_top[:, cols], top[:, cols]
+    i_span, t_span, top_span = i_top[:, cols], t_top[:, cols], read[:, cols]
     home = (i_span == i_home) & (t_span == t_home) & np.isfinite(step)
     i_sec, t_sec = locate(g.nodes[cols] + step * u[-2], g)
     second = p1_at(v_flat, i_sec + lane_start, t_sec)
@@ -256,14 +282,49 @@ def _top_foot(v_next, g: SpatialGrid, step, u, lo: int):
     window = v_next[:, r0:r1]
     rises = np.zeros(window.shape, dtype=np.int32)
     np.cumsum(~(window[:, 1:] <= window[:, :-1]), axis=1, out=rises[:, 1:])
-    # E of the falling rule, per lane; the window has no rise when the counts
+    # E of both margins, per lane; the window has no rise when the counts
     # left of the node's cell and of the top foot's right node agree
     err = 2.0 ** -50 * np.abs(window).max(axis=1, keepdims=True) + np.finfo(float).tiny
     row_start = np.arange(0, rises.size, r1 - r0)[:, None]
     falling = ((step > 0.0)
                & (rises.reshape(-1)[1:].take(i_span - r0 + row_start) == rises.take(i_home - r0, axis=1))
                & (top_span <= second - 2.0 * err) & np.isfinite(err))
-    return top, np.nonzero(~(home | falling))
+    rest = np.flatnonzero(~(home | falling))
+    if not rest.size:
+        return read, none, (none, none)
+
+    # rising with margin, on the cells left, by flat index (lane*M + column);
+    # each array goes once it is used, so a slice this rule settles peaks far
+    # below the full search's (cells, k) arrays
+    del t_top, t_span, i_sec, t_sec, second, home, falling
+    s = step.reshape(-1).take(rest)
+    a, col = np.divmod(rest, step.shape[1])
+    del rest
+    ih = i_home.take(col)
+    col += lo
+    top_right = i_top.reshape(-1).take(a * m + col) + 1
+    del i_top, i_span
+    # falls counts the steps that fall (or touch a NaN) as rises, whose array it
+    # takes over, counted the rising ones
+    falls = rises
+    np.cumsum(~(window[:, 1:] >= window[:, :-1]), axis=1, out=falls[:, 1:])
+    row = a * (r1 - r0) - r0
+    rising = falls.reshape(-1).take(row + top_right) == falls.reshape(-1).take(row + ih)
+    del falls, rises, top_right, row
+    rising &= (s > 0.0) & np.isfinite(s)
+    i_one, t_one = locate(g.nodes[col] + s * u[1], g)
+    del s
+    bound = p1_at(v_flat, i_one + m * a, t_one)
+    del i_one, t_one
+    bound -= 2.0 * err[a, 0]
+    here = dt * running_cost(rho[a, col], c, p)
+    bound += here
+    stay = p1_at(v_flat, ih + m * a, t_home.take(col - lo))
+    here += stay
+    rising &= here < bound
+    cell = a[rising] * m + col[rising]
+    read.reshape(-1)[cell] = stay[rising]
+    return read, cell, (a[~rising], col[~rising])
 
 
 def qvi_backward_step(v_next, rho, g: SpatialGrid, dt: float, controls: ControlSet,

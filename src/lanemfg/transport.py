@@ -12,18 +12,22 @@ is recorded as outflow. Negative values of rho + dt*src are clamped to
 zero before the push and the clamped mass is recorded; under mfg_source a
 donor loses at most dt*a*rho, so with dt*a <= 1 nothing is clamped.
 
-The push runs on a window of each lane. A foot displaced by less than
-grid.home_reach locates onto its own node with offset 0 (the last node:
-its cell's right end), so it deposits w*1.0 there and an exact +0.0 on
-the next node: for finite w the G operator leaves its mass w unchanged.
-The window spans the lane's moving feet, padded by the largest
-displacement plus two nodes, so every nonzero deposit lands inside it
-and each bin inside sums the same deposits in the same order; the ones
-left out are the +0.0s of still feet, which change no partial sum, as a
-bincount's partial sums are never -0.0. Nodes outside keep rho + dt*src
-as clamped, which the whole-road push gives bit for bit. A lane whose
-feet all move, as under the uncontrolled model's free-flow speed, is
-pushed whole.
+The push runs once for all lanes, on one window of the road. A foot
+displaced by less than grid.home_reach locates onto its own node with
+offset 0 (the last node: its cell's right end), so it deposits w*1.0
+there and an exact +0.0 on the next node: for finite w the G operator
+leaves its mass w unchanged. The window spans the columns where a foot of
+any lane moves, padded by the largest displacement of any lane plus two
+nodes, so it holds each lane's own window, the one around that lane's
+moving feet, and with it every nonzero deposit. Each lane deposits into
+bins of its own, in the order of its nodes, as its push on the whole road
+does. The feet that the window adds to a lane's own window, or leaves
+out, are still: each puts its w alone on a node that no moving foot of
+the lane reaches, and +0.0s, which change no partial sum, as a bincount's
+partial sums are never -0.0. Nodes outside keep rho + dt*src as clamped,
+which the whole-road push gives bit for bit. Under the uncontrolled
+model's free-flow speed every foot moves and the window is the whole
+road.
 """
 
 from __future__ import annotations
@@ -79,31 +83,67 @@ def g_operator(w, feet, g: SpatialGrid, first: int = 0):
 
     Returns (densities, outflow): the redeposited per-node densities and
     the mass that left the domain by more than half a cell. Deposits carry
-    the width ratio |E_j|/|E_i|, which is exactly 1.0 between interior
-    cells, so zero velocity is a bitwise identity and integer-cell
-    displacements translate profiles without numerical diffusion.
+    the width ratio |E_j|/|E_i|, so zero velocity is a bitwise identity and
+    integer-cell displacements translate profiles without numerical
+    diffusion. The ratio is exactly 1.0 between interior cells, so it is
+    taken only for the deposits from or onto an end node.
 
-    w and feet belong to the nodes first, first + 1, ... of the grid, and so
-    do the densities. A foot that stays must deposit on those nodes, or put
-    an exact 0 on the node one past them, which is dropped.
+    w and feet hold one row, or one row per lane, for the nodes first,
+    first + 1, ... of the grid, and so do the densities. A foot that stays
+    must deposit on its lane's nodes, or put an exact 0 past them, which
+    adds to nothing. Each lane's bins sum its deposits in the order of its
+    nodes, and outflow sums each lane's exited mass on its own and adds the
+    lanes in order, so one call gives the bits of one call per lane.
     """
     w = np.asarray(w, dtype=float)
-    feet = np.asarray(feet, dtype=float)
+    shape, size = w.shape, w.shape[-1]
+    w = w.reshape(-1, size)
+    feet = np.asarray(feet, dtype=float).reshape(w.shape)
     cw = g.cell_widths
-    own = cw[first:first + w.size]
+    own = cw[first:first + size]
     grace = 0.5 * g.dx
 
     exited = (feet < g.x_lo - grace) | (feet > g.x_hi + grace)
-    outflow = float((w[exited] * own[exited]).sum())
+    leaving = np.flatnonzero(exited.any(axis=1)).tolist()
+    # one sum per lane: numpy's pairwise sum groups the terms by the array it is given
+    outflow = 0.0
+    for a in leaving:
+        outflow += float((w[a, exited[a]] * own[exited[a]]).sum())
 
-    # feet inside the grace zone clamp onto the boundary node via locate; an
-    # exited foot deposits +0.0, which leaves the bits of its bin unchanged
+    # feet inside the grace zone clamp onto the boundary node via locate
     i, t = locate(feet, g)
-    w = np.where(exited, 0.0, w)
-    j = i - first
-    acc = np.bincount(j, weights=w * (1.0 - t) * (own / cw[i]), minlength=w.size)
-    acc += np.bincount(j + 1, weights=w * t * (own / cw[i + 1]), minlength=w.size + 1)[:-1]
-    return acc, outflow
+    left = np.subtract(1.0, t)
+    left *= w
+    right = t
+    right *= w
+    if leaving:
+        # an exited foot deposits +0.0, which leaves the bits of its bin unchanged
+        left[exited] = right[exited] = 0.0
+    # the width ratio, onto an end node and from one; a deposit from an end node
+    # onto one has ratio 1.0 (the two end cells have one width), so taking it twice is exact
+    last = g.node_count - 1
+    onto = np.flatnonzero(i == 0)
+    left.reshape(-1)[onto] *= own[onto % size] / cw[0]
+    onto = np.flatnonzero(i == last - 1)
+    right.reshape(-1)[onto] *= own[onto % size] / cw[last]
+    for e in (0, last):
+        if first <= e < first + size:
+            left[:, e - first] *= own[e - first] / cw[i[:, e - first]]
+            right[:, e - first] *= own[e - first] / cw[i[:, e - first] + 1]
+    # lane r's node first + j is bin r*size + j. The 0 past a lane's last node
+    # goes onto that node, where it changes no sum, so every array here is
+    # (lanes, size) and reuses the pages another one freed; each goes as soon
+    # as it is used
+    bins = i
+    bins -= first
+    lane_start = np.arange(0, bins.size, size)[:, None]
+    bins += lane_start
+    acc = np.bincount(bins.reshape(-1), weights=left.reshape(-1), minlength=bins.size)
+    del left
+    bins += 1
+    np.minimum(bins, lane_start + (size - 1), out=bins)
+    acc += np.bincount(bins.reshape(-1), weights=right.reshape(-1), minlength=acc.size)
+    return acc.reshape(shape), outflow
 
 
 def mfg_source(rho, q, p: FluxParams):
@@ -162,40 +202,40 @@ def shvetsov_source(rho, t_left, t_right, p: FluxParams):
 
 
 def forward_step(rho, vel, src, g: SpatialGrid, dt: float):
-    """One explicit step: the G operator applied to rho + dt*src, per lane.
+    """One explicit step: the G operator applied to rho + dt*src, every lane at once.
 
     Returns (new densities, outflow, clamped): the mass that left the
     domain and the mass added by clamping negative values of rho + dt*src
-    to 0 before the push, both summed over lanes. The push runs only on the
-    window of each lane whose feet may move (module docstring).
+    to 0 before the push, both summed over lanes. The push runs only on
+    the window of the road where some foot may move (module docstring).
     """
     rho = np.atleast_2d(np.asarray(rho, dtype=float))
     vel = np.atleast_2d(np.asarray(vel, dtype=float))
     src = np.atleast_2d(np.asarray(src, dtype=float))
-    out = dt * src
-    out += rho
-    clamped = float(-(np.minimum(out, 0.0) * g.cell_widths).sum())
+    pre = dt * src
+    pre += rho
+    clamped = float(-(np.minimum(pre, 0.0) * g.cell_widths).sum())
     # by sign, not by the clamped mass: a subnormal negative's mass rounds to 0
-    np.maximum(out, 0.0, out=out)
-    # |dt*v| is dt*|v| bit for bit; one (n, M) float temporary keeps the heap from trimming
+    np.maximum(pre, 0.0, out=pre)
+    # |dt*v| is dt*|v| bit for bit
     size = np.abs(vel)
     size *= dt
-    moving = ~(size < g.home_reach)
-    m = out.shape[1]
-    first = moving.argmax(axis=1).tolist()
-    last = (m - moving[:, ::-1].argmax(axis=1)).tolist()
-    # every deposit of a moving foot lands within `pad` nodes of it (NaN: the whole lane)
-    cells = (size.max(axis=1) / g.dx).tolist()
-    outflow = 0.0
-    # per lane: one lane-offset bincount gave the same bits but slowed 3x5001 sweeps by 24-45 %
-    for a in range(out.shape[0]):
-        if not moving[a, first[a]]:
-            continue
-        pad = int(cells[a]) + 2 if cells[a] < m else m
-        win = slice(max(0, first[a] - pad), min(m, last[a] + pad))
-        out[a, win], lost = g_operator(out[a, win], g.nodes[win] + dt * vel[a, win], g, win.start)
-        outflow += lost
-    return out, outflow, clamped
+    moving = np.flatnonzero(~(size < g.home_reach).all(axis=0))
+    if not moving.size:
+        return pre, 0.0, clamped
+    # every deposit of a moving foot lands within `pad` nodes of it (NaN: the whole road)
+    m = pre.shape[1]
+    cells = size.max() / g.dx
+    del size
+    pad = int(cells) + 2 if cells < m else m
+    start, stop = max(0, moving[0] - pad), min(m, moving[-1] + 1 + pad)
+    feet = dt * vel[:, start:stop]
+    feet += g.nodes[start:stop]
+    pushed, outflow = g_operator(pre[:, start:stop], feet, g, start)
+    # the result is made last, above the push's arrays: freed below a live one,
+    # their pages stay with the heap for the next step instead of being trimmed
+    # at its top and faulted in again
+    return np.concatenate((pre[:, :start], pushed, pre[:, stop:]), axis=1), outflow, clamped
 
 
 def total_mass(rho, g: SpatialGrid):

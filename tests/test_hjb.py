@@ -88,7 +88,7 @@ def _traced_peak(fn, *args):
 
 @st.composite
 def _value_slices(draw, n, m):
-    """V_next lanes built node by node from ulp-sized, zero, 1e-8..1 or random steps."""
+    """V_next lanes built node by node from ulp-sized, zero, +-1e-8..1 or random steps."""
     lanes = []
     for _ in range(n):
         v = [draw(st.floats(-30.0, 30.0))]
@@ -99,7 +99,7 @@ def _value_slices(draw, n, m):
             elif kind == "zero":
                 step = 0.0
             elif kind == "decade":
-                step = -(10.0 ** draw(st.floats(-8.0, 0.0)))
+                step = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-8.0, 0.0))
             else:
                 step = draw(st.floats(-1.0, 1.0))
             v.append(v[-1] + step)
@@ -299,6 +299,34 @@ class TestHamiltonianStep:
         np.testing.assert_array_equal(u_idx, ref_u)
         np.testing.assert_array_equal(vals, ref_vals)
 
+    def test_rise_without_margin_is_not_enough(self):
+        # at rho_max - eps the cost dt*l = 1/eps dwarfs V_next, which rises by
+        # 2e-11 over the top foot: levels up to 0.3 total exactly u = 0's total,
+        # so the tie goes to u = 0.3 although no foot reads less than the home
+        g = build_uniform(0.0, 1.0, 3)
+        v_next = np.array([[0.0, 1e-6, 2e-6]])
+        rho = np.full((1, 3), 1.0 - C.epsilon)
+        ref_vals, ref_u = _full_search(v_next, rho, g, 1.0, U11, C, P)
+        cost = running_cost(rho[0, 0], C, P)
+        assert cost + v_next[0, 0] == ref_vals[0, 0] and ref_u[0, 0] == 3
+        vals, u_idx = hamiltonian_step(v_next, rho, g, 1.0, U11, C, P)
+        np.testing.assert_array_equal(u_idx, ref_u)
+        np.testing.assert_array_equal(vals, ref_vals)
+
+    def test_rise_within_rounding_needs_the_margin(self):
+        # V_next rises by three ulps from node 0 to node 1: the u = 0.1 foot
+        # reads one ulp above the home, but the u = 0.2 and 0.4 feet compute
+        # back onto it, and the tie goes to u = 0.4. Only the 2E margin keeps
+        # this cell out of the rising rule
+        g = build_uniform(0.0, 1.0, 3)
+        v_next = np.array([[17.225816493288065, 17.225816493288075, 17.225816493288075]])
+        rho = np.full((1, 3), 0.3)
+        ref_vals, ref_u = _full_search(v_next, rho, g, 0.5, U11, C, P)
+        assert ref_u[0, 0] == 4
+        vals, u_idx = hamiltonian_step(v_next, rho, g, 0.5, U11, C, P)
+        np.testing.assert_array_equal(u_idx, ref_u)
+        np.testing.assert_array_equal(vals, ref_vals)
+
     def test_negative_speed_takes_the_full_search(self):
         # rho = 6.35 > rho_max sends the feet of the last node 0..4 cells left;
         # V_next falls rightward there but the stay foot is the cheapest
@@ -323,6 +351,20 @@ class TestHamiltonianStep:
         args = (v_next, rho, g, 0.01, U11, C, P)
         (vals, u_idx), fast_peak = _traced_peak(hamiltonian_step, *args)
         (ref_vals, ref_u), full_peak = _traced_peak(_full_search, *args)
+        np.testing.assert_array_equal(vals, ref_vals)
+        np.testing.assert_array_equal(u_idx, ref_u)
+        assert fast_peak < full_peak / 4
+
+    def test_rising_slice_skips_the_full_search(self):
+        # every cell rises away from a left-end target and takes u = 0: a
+        # fall-back to the full search would build the (3, 5001, 11) feet
+        g = build_uniform(0.0, 25.0, 5001)
+        rho = np.full((3, 5001), 0.3)
+        v_next = terminal_slice(g, 3, TargetSet(((0.0, 1), (0.0, 2), (0.0, 3))))
+        args = (v_next, rho, g, 0.01, U11, C, P)
+        (vals, u_idx), fast_peak = _traced_peak(hamiltonian_step, *args)
+        (ref_vals, ref_u), full_peak = _traced_peak(_full_search, *args)
+        assert np.all(ref_u[:, :-1] == 0)
         np.testing.assert_array_equal(vals, ref_vals)
         np.testing.assert_array_equal(u_idx, ref_u)
         assert fast_peak < full_peak / 4

@@ -146,7 +146,8 @@ def _mfg_source_per_lane(rho, q, p):
 
 
 def _g_operator_compacted(w, feet, g):
-    """g_operator that deposits only the kept feet: the reference for the +0.0 deposits."""
+    """g_operator on one lane that deposits only the kept feet, each with the full width
+    ratio |E_j|/|E_i|: the reference for the +0.0 deposits and for the ratio at the ends."""
     cw = g.cell_widths
     grace = 0.5 * g.dx
     exited = (feet < g.x_lo - grace) | (feet > g.x_hi + grace)
@@ -157,6 +158,16 @@ def _g_operator_compacted(w, feet, g):
     acc = np.bincount(i, weights=wk * (1.0 - t) * (ratio / cw[i]), minlength=g.node_count)
     acc += np.bincount(i + 1, weights=wk * t * (ratio / cw[i + 1]), minlength=g.node_count)
     return acc, outflow
+
+
+def _g_operator_per_lane(w, feet, g):
+    """_g_operator_compacted lane by lane, the outflow added in lane order."""
+    out = np.empty_like(w)
+    outflow = 0.0
+    for a in range(w.shape[0]):
+        out[a], lost = _g_operator_compacted(w[a], feet[a], g)
+        outflow += lost
+    return out, outflow
 
 
 class TestBitwiseReferences:
@@ -205,6 +216,22 @@ class TestBitwiseReferences:
         np.testing.assert_array_equal(out, ref)
         np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
         assert lost == ref_lost
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4), m=st.integers(2, 12), width=st.floats(0.5, 50.0))
+    def test_g_operator_ratio_at_the_end_nodes(self, data, n, m, width):
+        # masses down to the least subnormal, where a product with the ratio 0.5
+        # or 2 rounds, moving off the end nodes and onto them from both sides
+        g = build_uniform(0.0, width, m)
+        tiny = st.sampled_from([5e-324, 1.5e-323, 1e-310, np.finfo(float).tiny, 3e-308])
+        w = data.draw(arrays(np.float64, (n, m), elements=st.one_of(tiny, st.floats(0.0, 2.0))))
+        shifts = st.one_of(st.floats(-1.5, 1.5), st.sampled_from([-1.0, -0.5, -0.4, 0.4, 0.5, 1.0]))
+        feet = g.nodes + g.dx * data.draw(arrays(np.float64, (n, m), elements=shifts))
+        out, lost = g_operator(w, feet, g)
+        ref, ref_lost = _g_operator_per_lane(w, feet, g)
+        np.testing.assert_array_equal(out, ref)
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
+        assert lost.hex() == ref_lost.hex()
 
 
 class TestShvetsovSource:
@@ -474,35 +501,34 @@ def test_forward_step_invariants(data, n, m, a, b, rho_max):
 
 
 def _whole_grid_step(rho, vel, src, g, dt):
-    """forward_step with every lane's G operator on the whole road: the reference for the window."""
+    """forward_step pushing each lane on the whole road with the full width ratio, lane by
+    lane: the reference for the union window."""
     pre = dt * src + rho
     clamped = float(-(np.minimum(pre, 0.0) * g.cell_widths).sum())
-    pre = np.maximum(pre, 0.0)
-    out = np.empty_like(rho)
-    outflow = 0.0
-    for a in range(rho.shape[0]):
-        out[a], lost = g_operator(pre[a], g.nodes + dt * vel[a], g)
-        outflow += lost
-    return out, outflow, clamped
+    return (*_g_operator_per_lane(np.maximum(pre, 0.0), g.nodes + dt * vel, g), clamped)
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), n=st.integers(1, 4), m=st.integers(2, 40),
+@given(data=st.data(), n=st.integers(1, 6), m=st.integers(2, 40),
        dt=st.sampled_from([0.0, 0.01, 0.5, 2.0]),
        x_lo=st.sampled_from([0.0, -3.7, 1e7]), width=st.sampled_from([1.0, 25.0]))
 def test_forward_step_matches_the_whole_grid_push(data, n, m, dt, x_lo, width):
     # displacements from none through just under and over the still reach to
-    # feet that leave through the grace zone or beyond; at x_lo = 1e7 no foot
-    # is proven home and every lane is pushed whole
+    # feet that leave through the grace zone or beyond, forward and backward;
+    # at x_lo = 1e7 no foot is proven home and the whole road is pushed
     g = build_uniform(x_lo, x_lo + width, m)
     reach = g.home_reach
-    # a foot 2*reach away misses the snap tolerance; lanes with few, short moves
-    # keep still nodes outside their window
+    # a foot 2*reach away misses the snap tolerance. Lanes differ: a still lane
+    # has no window, and few short moves, long ones or backward ones give each
+    # lane its own window inside the union that is pushed
     near = st.sampled_from([0.0, np.nextafter(reach, 0.0), reach, -reach, 2.0 * reach, 1e3 * reach])
-    disp = np.empty((n, m))
+    disp = np.zeros((n, m))
     for a in range(n):
-        span = data.draw(st.sampled_from([1.5, m + 2.0]))
-        cells = st.floats(-span, span).map(lambda c: c * g.dx)
+        kind = data.draw(st.sampled_from(["still", "short", "long", "back"]))
+        if kind == "still":
+            continue
+        span = 1.5 if kind == "short" else m + 2.0
+        cells = st.floats(-span, 0.0 if kind == "back" else span).map(lambda c: c * g.dx)
         disp[a] = data.draw(arrays(float, m, elements=st.one_of(near, near, near, cells)))
     vel = disp / dt if dt else disp
     rho = data.draw(arrays(float, (n, m), elements=st.one_of(st.just(0.0), st.floats(0.0, 2.0))))
@@ -510,7 +536,8 @@ def test_forward_step_matches_the_whole_grid_push(data, n, m, dt, x_lo, width):
     out, outflow, clamped = forward_step(rho, vel, src, g, dt)
     ref_out, ref_outflow, ref_clamped = _whole_grid_step(rho, vel, src, g, dt)
     np.testing.assert_array_equal(out, ref_out)
-    assert (outflow, clamped) == (ref_outflow, ref_clamped)
+    assert out.flags.c_contiguous
+    assert (outflow.hex(), clamped.hex()) == (ref_outflow.hex(), ref_clamped.hex())
 
 
 def _assert_step_ledger(rho, out, outflow, clamped, g):
