@@ -4,8 +4,9 @@ Outputs per run: one CSV per requested snapshot time with columns
 t,x,lane,rho,V,u,S (17 significant digits, one row per node and lane,
 lane-major), and a summary.json with iteration counts, residuals, the
 per-snapshot mass ledger and the boundary-outflow ledger. Each distinct
-time level gets its own file (_snapshot_names). Runs are deterministic:
-identical scenarios produce byte-identical CSVs.
+time level gets its own file (_snapshot_names), written once however many
+requested times round to it. Runs are deterministic: identical scenarios
+produce byte-identical CSVs.
 
 Exit codes: 0 success (including flagged non-convergence), 1 scenario
 error, 2 runtime solver error.
@@ -95,10 +96,12 @@ def run(scn: Scenario, mode: str, out_dir) -> dict:
         s = [np.zeros(rho0.shape, dtype=int)] * len(levels)
         convergence = {"converged": True, "iterations": 0, "residual_history": []}
 
-    snapshots = []
+    snapshots, written = [], set()
     for k, name, v_k, u_k, s_k in zip(levels, _snapshot_names(levels, tg.dt), values, u, s):
         t_k = k * tg.dt
-        _write_snapshot(out / name, t_k, g.nodes, sol.rho_traj[k], v_k, u_k, s_k)
+        if name not in written:
+            written.add(name)
+            _write_snapshot(out / name, t_k, g.nodes, sol.rho_traj[k], v_k, u_k, s_k)
         per_lane, total = transport.total_mass(sol.rho_traj[k], g)
         snapshots.append({
             "time": t_k,

@@ -77,6 +77,7 @@ __all__ = [
 # Policies are stored as int16: control indices and 1-based switch targets.
 POLICY_DTYPE = np.int16
 MAX_CONTROL_LEVELS = int(np.iinfo(POLICY_DTYPE).max) + 1
+MAX_LANES = int(np.iinfo(POLICY_DTYPE).max)
 
 
 @dataclass(frozen=True)
@@ -100,19 +101,12 @@ class ControlSet:
 
 
 class BackwardResult(NamedTuple):
-    """Values and feedback policies that best respond to the density trajectory rho_traj.
-
-    A solve written over an earlier result reports how far it moved it:
-    the policy cells whose control or switch target changed, and the
-    sup-norm change of the values. A fresh solve leaves both None.
-    """
+    """Values and feedback policies that best respond to the density trajectory rho_traj."""
 
     values: np.ndarray  # (N+1, n, M)
     u_idx: np.ndarray  # (N, n, M) index into the control levels
     q_target: np.ndarray  # (N, n, M) switch target, 1-based; own lane = stay
     rho_traj: np.ndarray  # (N+1, n, M)
-    policy_changes: int | None = None
-    value_change: float | None = None
 
 
 def terminal_slice(g: SpatialGrid, n_lanes: int, tgt: TargetSet) -> np.ndarray:
@@ -343,56 +337,38 @@ def qvi_backward_step(v_next, rho, g: SpatialGrid, dt: float, controls: ControlS
 
 
 def solve_backward(rho_traj, g: SpatialGrid, tg: TimeGrid, controls: ControlSet,
-                   c: CostParams, p: FluxParams, tgt: TargetSet,
-                   into: BackwardResult | None = None) -> BackwardResult:
+                   c: CostParams, p: FluxParams, tgt: TargetSet, sink=None) -> BackwardResult | None:
     """March the value function from the terminal slice back to t = 0.
 
     rho_traj has shape (N+1, n, M); the step from level k+1 to k evaluates
     running cost and dynamics on the density at level k. Policies exist on
-    levels 0..N-1.
+    levels 0..N-1, and level N of the values is always terminal_slice.
 
-    Without `into` the result lives in fresh arrays. With it, the solve
-    overwrites into's values, u_idx and q_target level by level, so an
-    outer loop holds one iterate; before it overwrites a level it counts
-    the policy cells that change there and takes max |dV|, and the result
-    reports both totals.
+    Without a sink every level is stored in a fresh BackwardResult. With
+    one, sink(k, values_k, u_idx_k, q_target_k) receives levels N-1..0 in
+    order, each once and as soon as it exists, and must not write into
+    them; the solve then returns None.
     """
     rho_traj = np.asarray(rho_traj, dtype=float)
     n_steps = tg.step_count
     if rho_traj.shape[0] != n_steps + 1:
         raise ValueError(f"density trajectory has {rho_traj.shape[0]} levels, expected {n_steps + 1}")
-    n, m = rho_traj.shape[1:]
 
-    tracked = into is not None
-    if not tracked:
-        values = np.empty((n_steps + 1, n, m))
-        u_idx = np.empty((n_steps, n, m), dtype=POLICY_DTYPE)
-        q_target = np.empty((n_steps, n, m), dtype=POLICY_DTYPE)
-    else:
-        values, u_idx, q_target = into[:3]
-        policy = ((n_steps, n, m), POLICY_DTYPE)
-        if [(a.shape, a.dtype) for a in into[:3]] != [(rho_traj.shape, np.float64), policy, policy]:
-            raise ValueError(f"into needs float64 values of shape {rho_traj.shape} and "
-                             f"{np.dtype(POLICY_DTYPE)} u_idx and q_target of shape {policy[0]}")
-    # each level's changes, taken before it is overwritten: no trajectory-sized
-    # difference or mask is ever made
-    changes = np.zeros(n_steps, dtype=np.int64)
-    value_change = np.zeros(n_steps + 1)
+    v_next = terminal_slice(g, rho_traj.shape[1], tgt)
+    result = None
+    if sink is None:
+        policy = rho_traj[1:].shape
+        result = BackwardResult(np.empty(rho_traj.shape), np.empty(policy, POLICY_DTYPE),
+                                np.empty(policy, POLICY_DTYPE), rho_traj)
+        result.values[n_steps] = v_next
 
-    terminal = terminal_slice(g, n, tgt)
-    if tracked:
-        value_change[n_steps] = np.abs(values[n_steps] - terminal).max()
-    values[n_steps] = terminal
+        def sink(k, values_k, u_idx_k, q_target_k):
+            result.values[k], result.u_idx[k], result.q_target[k] = values_k, u_idx_k, q_target_k
+
     for k in range(n_steps - 1, -1, -1):
         # the step's arrays stay held through the next step: freeing them at once let
         # malloc trim the heap every step and tripled the page faults of a sweep
-        step = qvi_backward_step(values[k + 1], rho_traj[k], g, tg.dt, controls, c, p)
-        if tracked:
-            value_change[k] = np.abs(values[k] - step[0]).max()
-            changes[k] = np.count_nonzero((u_idx[k] != step[1]) | (q_target[k] != step[2]))
-        values[k], u_idx[k], q_target[k] = step
-    result = BackwardResult(values=values, u_idx=u_idx, q_target=q_target, rho_traj=rho_traj)
-    if tracked:
-        result = result._replace(policy_changes=int(changes.sum()),
-                                 value_change=float(value_change.max()))
+        step = qvi_backward_step(v_next, rho_traj[k], g, tg.dt, controls, c, p)
+        sink(k, *step)
+        v_next = step[0]
     return result

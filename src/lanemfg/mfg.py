@@ -3,16 +3,15 @@
 Each outer iteration runs the density forward under the current feedback
 policies, averages the result into the retained trajectory, and re-solves
 the value function backward on that average to improve the policies. The
-loop holds one iterate, a BackwardResult, and updates it in place: the
-forward sweep hands each level to a sink that averages it into the
-iterate's density as soon as it is made, so no run is stored whole, and
-each backward solve overwrites the previous values and policies level by
-level. Both overwrites take each level's change (density, policy, value)
-before they overwrite it. Both sweeps move at
-model.transport_speed, so each backward solve best-responds to the
-dynamics the forward run simulates. Iteration stops when the fraction of
-changed policy cells and the sup-norm value change both fall under their
-tolerances.
+loop holds one iterate, a BackwardResult, and only its two sinks update it
+in place, each taking a level's change before it overwrites the level: the
+forward sweep hands each level to _averager, which averages it into the
+iterate's density, so no run is stored whole, and the backward solve hands
+each level to _overwriter, which writes it over the values and policies.
+Both sweeps move at model.transport_speed, so each backward solve
+best-responds to the dynamics the forward run simulates. Iteration stops
+when the fraction of changed policy cells and the sup-norm value change
+both fall under their tolerances.
 
 The average is harmonic, as in fictitious play (Cardaliaguet & Hadikhanloo
 2017): the run of iteration m enters with weight 1/m. The shrinking steps
@@ -104,6 +103,22 @@ def _averager(mix, prev, it: int, moved, g: SpatialGrid):
     return sink
 
 
+def _overwriter(iterate: hjb.BackwardResult, changes, value_change):
+    """A backward-solve sink that writes level k over the iterate's values and policies.
+
+    Before it does, changes[k] counts the level's policy cells that change
+    and value_change[k] takes the level's max |dV|.
+    """
+    values, u_idx, q_target = iterate[:3]
+
+    def sink(k, values_k, u_idx_k, q_target_k):
+        value_change[k] = np.abs(values[k] - values_k).max()
+        changes[k] = np.count_nonzero((u_idx[k] != u_idx_k) | (q_target[k] != q_target_k))
+        values[k], u_idx[k], q_target[k] = values_k, u_idx_k, q_target_k
+
+    return sink
+
+
 def initialize_policies(rho0, g: SpatialGrid, tg: TimeGrid, controls: hjb.ControlSet,
                         c: CostParams, p: FluxParams, tgt: TargetSet) -> hjb.BackwardResult:
     """Starting policies from a backward solve on the initial density frozen in time."""
@@ -112,15 +127,14 @@ def initialize_policies(rho0, g: SpatialGrid, tg: TimeGrid, controls: hjb.Contro
     return hjb.solve_backward(frozen, g, tg, controls, c, p, tgt)
 
 
-def residuals(moved, nxt: hjb.BackwardResult, tg: TimeGrid):
+def residuals(moved, changes, value_change, g: SpatialGrid, tg: TimeGrid):
     """(policy-change fraction, value sup-norm change, density L1 change).
 
-    nxt is a backward solve written over the previous iterate, which reports
-    the policy and value changes. moved (N+1, n) holds, per level and lane,
-    the L1 change from the trajectory the previous iterate answered to the
-    one nxt answers, as the mixing sink took it.
+    The arrays hold each level's change as the sinks took it: moved (N+1, n)
+    from _averager, changes (N,) and value_change (N,) from _overwriter.
     """
-    return nxt.policy_changes / nxt.u_idx.size, nxt.value_change, float(moved.sum() * tg.dt)
+    cells = changes.size * moved.shape[1] * g.node_count
+    return int(changes.sum()) / cells, float(value_change.max()), float(moved.sum() * tg.dt)
 
 
 def peak_bytes(lanes: int, node_count: int, step_count: int) -> int:
@@ -155,15 +169,17 @@ def solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams, c: CostParams,
     # while the mix it answers is rho0 frozen in time, a read-only broadcast
     rho_mix = np.empty((tg.step_count + 1,) + rho0.shape)
     moved = np.empty(rho_mix.shape[:2])
+    changes, value_change = np.empty(tg.step_count, dtype=np.int64), np.empty(tg.step_count)
     history: list[tuple[float, float, float]] = []
     converged = False
     for it in range(1, opts.max_outer_iters + 1):
         _forward(rho0, g, tg, p, controls, current.u_idx, current.q_target,
                  sink=_averager(rho_mix, current.rho_traj, it, moved, g))
-        nxt = hjb.solve_backward(rho_mix, g, tg, controls, c, p, tgt, into=current)
-        res = residuals(moved, nxt, tg)
+        hjb.solve_backward(rho_mix, g, tg, controls, c, p, tgt,
+                           sink=_overwriter(current, changes, value_change))
+        current = current._replace(rho_traj=rho_mix)
+        res = residuals(moved, changes, value_change, g, tg)
         history.append(res)
-        current = nxt
         if res[0] <= opts.tol_policy and res[1] <= tol_value:
             converged = True
             break
@@ -173,7 +189,7 @@ def solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams, c: CostParams,
 
     # the last mix goes before the final run: every name that holds it is dropped
     values, u_idx, q_target = current[:3]
-    del current, nxt, rho_mix
+    del current, rho_mix
     final = _forward(rho0, g, tg, p, controls, u_idx, q_target)
     return MfgSolution(**vars(final), value_traj=values, u_traj=u_idx, q_traj=q_target,
                        iterations=len(history), converged=converged, residual_history=history)

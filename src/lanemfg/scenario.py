@@ -25,7 +25,7 @@ import numpy as np
 
 from .baseline import BaselineParams
 from .grid import SpatialGrid, TimeGrid, build_uniform, project_initial
-from .hjb import ControlSet
+from .hjb import MAX_LANES, ControlSet
 from .mfg import SolverOptions, peak_bytes
 from .model import CostParams, FluxParams, TargetSet, max_flux
 
@@ -160,7 +160,8 @@ class Field(NamedTuple):
 
 
 FIELDS = (
-    Field("lanes", _count(1)),
+    Field("lanes", _num(f"an integer in 1..{MAX_LANES}", lambda n: 1 <= n <= MAX_LANES,
+                        integer=True)),
     Field("domain", _seq("[x_lo, x_hi]", (_real, _real))),
     Field("horizon", _positive),
     Field("node_count", _count(2)),

@@ -149,6 +149,8 @@ BAD_CONFIGS = [
                  id="overflowing-value-bound"),
     pytest.param(small_dict(control_levels=[i / 39999 for i in range(40000)]),
                  ["control_levels", "32768"], [], id="too-many-control-levels"),
+    # int16 switch targets wrapped 40000 lanes to -25536
+    pytest.param(small_dict(lanes=40000), ["lanes", "32767"], [], id="too-many-lanes"),
     pytest.param(None, ["bad.json"], [], id="missing-file"),
     pytest.param(b"\xff\xfe{}", ["bad.json"], [], id="not-utf8"),
 ]
@@ -282,9 +284,10 @@ class TestSnapshotNames:
 
 
 # Runs the CLI in a fresh interpreter with the benchmark's per-layer tracer
-# installed, prints its exit code and dumps the spans into the output directory.
+# installed, prints its exit code and dumps the spans and the per-layer
+# metrics into the output directory.
 _TRACE_SCRIPT = """
-import sys
+import json, sys
 sys.path.insert(0, sys.argv[1])
 from tracer import Tracer
 from lanemfg import cli
@@ -292,20 +295,18 @@ tracer = Tracer()
 tracer.install()
 code = cli.main(sys.argv[2:])
 tracer.dump(sys.argv[-1] + "/trace.json")
+with open(sys.argv[-1] + "/metrics.json", "w") as fh:
+    json.dump(tracer.metrics(0.0, 0), fh)
 print(code)
 """
 
 
 class TestTrace:
-    @pytest.mark.parametrize("mode, names", [
-        ("mfg", ["cli.run", "hjb.hamiltonian_step", "transport.g_operator",
-                 "transport.velocity_at", "mfg.residuals"]),
-        ("uncontrolled", ["cli.run", "baseline.uncontrolled_solve", "transport.g_operator",
-                          "transport.velocity_at"]),
-    ], ids=["mfg", "uncontrolled"])
-    def test_tracer_spans_every_layer(self, tmp_path, mode, names):
+    @staticmethod
+    def _traced(tmp_path, mode, solver):
+        """Spans and metrics of a traced CLI run on small_dict with these solver keys."""
         cfg = tmp_path / "scn.json"
-        write_scenario(scenario_from_dict(small_dict(solver={"max_outer_iters": 2})), cfg)
+        write_scenario(scenario_from_dict(small_dict(solver=solver)), cfg)
         out = tmp_path / "out"
         proc = subprocess.run(
             [sys.executable, "-c", _TRACE_SCRIPT, str(ROOT / "perfbench"), "--config", str(cfg),
@@ -315,8 +316,29 @@ class TestTrace:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0"]
         spans = json.loads((out / "trace.json").read_text())["spans"]
+        return spans, json.loads((out / "metrics.json").read_text())
+
+    @pytest.mark.parametrize("mode, names", [
+        ("mfg", ["cli.run", "hjb.hamiltonian_step", "transport.g_operator",
+                 "transport.velocity_at", "mfg.residuals"]),
+        ("uncontrolled", ["cli.run", "baseline.uncontrolled_solve", "transport.g_operator",
+                          "transport.velocity_at"]),
+    ], ids=["mfg", "uncontrolled"])
+    def test_tracer_spans_every_layer(self, tmp_path, mode, names):
+        spans, _ = self._traced(tmp_path, mode, {"max_outer_iters": 2})
         counts = Counter(span["name"] for span in spans)
         assert all(counts[name] > 0 for name in names), counts
+
+    def test_tracer_counts_every_call_of_a_small_solve(self, tmp_path):
+        # 2 lanes, 41 nodes, 20 steps, and two outer iterations that cannot converge:
+        # 20 backward steps for the starting policies and 20 in each iteration, 20
+        # forward steps in each iteration and in the final run, one lane push per step
+        _, metrics = self._traced(tmp_path, "mfg",
+                                  {"max_outer_iters": 2, "tol_policy": 0.0, "tol_value": 0.0})
+        assert metrics["mfg.outer_iterations"] == 2
+        assert metrics["hjb.hamiltonian_step.calls"] == 60
+        assert metrics["transport.g_operator.calls"] == 60
+        assert metrics["hjb.qvi_passes_per_step"] == 1.0
 
 
 class TestMain:
@@ -398,6 +420,28 @@ class TestMain:
         assert (tmp_path / "out" / "snapshot_t0.5.csv").exists()
         assert (tmp_path / "out" / "snapshot_t1.5.csv").exists()
         assert not (tmp_path / "out" / "snapshot_t2.csv").exists()
+
+    @pytest.mark.parametrize("mode", cli.MODES)
+    def test_a_level_asked_for_again_is_written_once(self, tmp_path, monkeypatch, mode):
+        # dt = 0.5: 0.25 rounds half-to-even onto level 0, which 0 already asks for twice
+        cfg = tmp_path / "scn.json"
+        cfg.write_text(json.dumps(small_dict(horizon=0.5, step_count=1, snapshot_times=None)))
+        written = []
+
+        def counted(path, *cols):
+            written.append(path.name)
+            _write_snapshot(path, *cols)
+
+        monkeypatch.setattr(cli, "_write_snapshot", counted)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out-dir", str(out), "--mode", mode,
+                     "--snapshots", "0,0,0.5,0.25"]) == 0
+        assert written == ["snapshot_t0.csv", "snapshot_t0.5.csv"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert [(s["time"], s["file"]) for s in summary["snapshots"]] == [
+            (0.0, "snapshot_t0.csv"), (0.0, "snapshot_t0.csv"), (0.5, "snapshot_t0.5.csv"),
+            (0.0, "snapshot_t0.csv")]
+        assert sorted(p.name for p in out.iterdir()) == sorted(written + ["summary.json"])
 
     def test_invalid_snapshot_override_exits_one(self, tmp_path, capsys):
         scn = scenario_from_dict(small_dict())

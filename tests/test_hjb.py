@@ -10,8 +10,6 @@ from hypothesis.extra.numpy import arrays
 from lanemfg.grid import TimeGrid, build_uniform, locate
 from lanemfg.hjb import (
     MAX_CONTROL_LEVELS,
-    POLICY_DTYPE,
-    BackwardResult,
     ControlSet,
     hamiltonian_step,
     jump_operator,
@@ -635,8 +633,8 @@ class TestSolveBackward:
             solve_backward(np.zeros((3, 1, 3)), g, tg, U3, C, P, TargetSet(((1.0, 1),)))
 
 
-class TestSolveBackwardInPlace:
-    """solve_backward(..., into=iterate) overwrites the iterate and reports what changed."""
+class TestSolveBackwardSink:
+    """solve_backward stores every level in fresh arrays, or hands each level to a sink."""
 
     G = build_uniform(0.0, 10.0, 9)
     TGT = TargetSet(((10.0, 1),))
@@ -645,53 +643,25 @@ class TestSolveBackwardInPlace:
     def _rho(rng, n_steps, n, m=9):
         return rng.uniform(0.0, 1.0, (n_steps + 1, n, m))
 
-    @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), m=st.integers(2, 12),
-           n_steps=st.integers(1, 5), earlier_solve=st.booleans())
-    def test_overwrite_gives_the_fresh_bits_and_reports_the_changes(self, seed, n, m, n_steps,
-                                                                    earlier_solve):
-        rng = np.random.default_rng(seed)
-        g = build_uniform(0.0, 10.0, m)
-        tg = TimeGrid(horizon=2.0, step_count=n_steps)
-        rho = self._rho(rng, n_steps, n, m)
-        fresh = solve_backward(rho, g, tg, U11, C, P, self.TGT)
-        if earlier_solve:
-            # a solve on another density: some cells change and some do not
-            old = solve_backward(self._rho(rng, n_steps, n, m), g, tg, U11, C, P, self.TGT)
-        else:
-            old = BackwardResult(rng.normal(0.0, 10.0, rho.shape),
-                                 rng.integers(0, 11, fresh.u_idx.shape).astype(POLICY_DTYPE),
-                                 rng.integers(1, n + 1, fresh.u_idx.shape).astype(POLICY_DTYPE),
-                                 rho)
-        before = old.values.copy(), old.u_idx.copy(), old.q_target.copy()
-        res = solve_backward(rho, g, tg, U11, C, P, self.TGT, into=old)
-        assert res.values is old.values and res.u_idx is old.u_idx
-        assert res.q_target is old.q_target and res.rho_traj is fresh.rho_traj
-        assert res.values.tobytes() == fresh.values.tobytes()
-        assert res.u_idx.tobytes() == fresh.u_idx.tobytes()
-        assert res.q_target.tobytes() == fresh.q_target.tobytes()
-        changed = (before[1] != fresh.u_idx) | (before[2] != fresh.q_target)
-        assert res.policy_changes == np.count_nonzero(changed)
-        assert res.value_change == np.abs(before[0] - fresh.values).max()
-        assert fresh.policy_changes is None and fresh.value_change is None
-
-    @settings(max_examples=60, deadline=None)
-    @given(field=st.sampled_from(["values", "u_idx", "q_target"]),
-           dtype=st.sampled_from([np.float64, np.float32, POLICY_DTYPE, np.int32, np.int64]),
-           delta=st.tuples(*[st.integers(-1, 1)] * 3))
-    def test_rejects_a_target_of_the_wrong_shape_or_dtype(self, field, dtype, delta):
-        tg = TimeGrid(horizon=2.0, step_count=3)
-        rho = self._rho(np.random.default_rng(5), 3, 2)
-        good = solve_backward(rho, self.G, tg, U11, C, P, self.TGT)
-        shape = tuple(s + d for s, d in zip(getattr(good, field).shape, delta))
-        if shape == getattr(good, field).shape and dtype == getattr(good, field).dtype:
-            shape = shape[:-1] + (shape[-1] + 1,)
-        bad = good._replace(**{field: np.zeros(shape, dtype=dtype)})
-        kept = [a.copy() for a in bad[:3]]
-        with pytest.raises(ValueError):
-            solve_backward(rho, self.G, tg, U11, C, P, self.TGT, into=bad)
-        for a, b in zip(bad[:3], kept):
-            assert a.tobytes() == b.tobytes()
+    @pytest.mark.parametrize("n, frozen", [(1, False), (3, False), (2, True)],
+                             ids=["one-lane", "three-lanes", "frozen"])
+    def test_sink_gets_every_policy_level_once_in_order(self, n, frozen):
+        tg = TimeGrid(horizon=2.0, step_count=5)
+        rho = self._rho(np.random.default_rng(11), 5, n)
+        if frozen:  # the read-only broadcast that initialize_policies solves on
+            rho = np.broadcast_to(rho[0], rho.shape)
+        stored = solve_backward(rho, self.G, tg, U11, C, P, self.TGT)
+        handed = []
+        out = solve_backward(rho, self.G, tg, U11, C, P, self.TGT,
+                             sink=lambda k, *level: handed.append((k, [a.copy() for a in level])))
+        assert out is None
+        assert [k for k, _ in handed] == list(range(tg.step_count - 1, -1, -1))
+        for k, level in handed:
+            # the policies come as the step makes them, and store as int16
+            for got, want in zip(level, stored[:3]):
+                assert got.astype(want.dtype).tobytes() == want[k].tobytes()
+        # level N, never handed over, is the terminal slice
+        assert stored.values[-1].tobytes() == terminal_slice(self.G, n, self.TGT).tobytes()
 
     def test_fresh_solves_share_no_memory(self):
         tg = TimeGrid(horizon=2.0, step_count=4)

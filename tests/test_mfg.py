@@ -2,12 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lanemfg import transport
 from lanemfg.grid import TimeGrid, build_uniform
-from lanemfg.hjb import BackwardResult, ControlSet, qvi_backward_step, solve_backward
-from lanemfg.mfg import (SolverOptions, _averager, _forward, initialize_policies, peak_bytes,
-                         residuals, solve)
+from lanemfg.hjb import (POLICY_DTYPE, BackwardResult, ControlSet, qvi_backward_step,
+                         solve_backward)
+from lanemfg.mfg import (SolverOptions, _averager, _forward, _overwriter, initialize_policies,
+                         peak_bytes, residuals, solve)
 from lanemfg.model import CostParams, FluxParams, TargetSet
 
 P = FluxParams(a=3.0, b=1.0, rho_max=1.0)
@@ -59,9 +62,13 @@ def _mixed(prev, run, it, g):
     return mix, moved
 
 
-def _overwritable(res):
-    """A copy of an iterate's values and policies that a backward solve may overwrite."""
-    return BackwardResult(res.values.copy(), res.u_idx.copy(), res.q_target.copy(), res.rho_traj)
+def _overwritten(iterate, mix, g, tg, tgt):
+    """Writes the backward solve on mix over iterate by solve's sink; returns the
+    per-level policy and value changes the sink took."""
+    changes = np.empty(tg.step_count, dtype=np.int64)
+    value_change = np.empty(tg.step_count)
+    solve_backward(mix, g, tg, U, C, P, tgt, sink=_overwriter(iterate, changes, value_change))
+    return changes, value_change
 
 
 def small_problem(n_lanes=2, m=31, n_steps=15, horizon=3.0):
@@ -108,33 +115,65 @@ class TestInitializePolicies:
         np.testing.assert_array_equal(back.q_target[:, 1], 2)
 
 
+class TestOverwriter:
+    """_overwriter writes a backward solve over an iterate and takes what changed."""
+
+    TGT = TargetSet(((10.0, 1),))
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), m=st.integers(2, 12),
+           n_steps=st.integers(1, 5), earlier_solve=st.booleans())
+    def test_overwrite_gives_the_fresh_bits_and_reports_the_changes(self, seed, n, m, n_steps,
+                                                                    earlier_solve):
+        rng = np.random.default_rng(seed)
+        g = build_uniform(0.0, 10.0, m)
+        tg = TimeGrid(horizon=2.0, step_count=n_steps)
+        rho = rng.uniform(0.0, 1.0, (n_steps + 1, n, m))
+        fresh = solve_backward(rho, g, tg, U, C, P, self.TGT)
+        if earlier_solve:
+            # a solve on another density: some cells change and some do not
+            old = solve_backward(rng.uniform(0.0, 1.0, rho.shape), g, tg, U, C, P, self.TGT)
+        else:
+            # any values and policies, on the terminal slice every iterate ends in
+            old = BackwardResult(rng.normal(0.0, 10.0, rho.shape),
+                                 rng.integers(0, 11, fresh.u_idx.shape).astype(POLICY_DTYPE),
+                                 rng.integers(1, n + 1, fresh.u_idx.shape).astype(POLICY_DTYPE),
+                                 rho)
+            old.values[-1] = fresh.values[-1]
+        before = old.values.copy(), old.u_idx.copy(), old.q_target.copy()
+        changes, value_change = _overwritten(old, rho, g, tg, self.TGT)
+        assert old.values.tobytes() == fresh.values.tobytes()
+        assert old.u_idx.tobytes() == fresh.u_idx.tobytes()
+        assert old.q_target.tobytes() == fresh.q_target.tobytes()
+        changed = (before[1] != fresh.u_idx) | (before[2] != fresh.q_target)
+        assert changes.tolist() == np.count_nonzero(changed, axis=(1, 2)).tolist()
+        level_max = np.abs(before[0] - fresh.values)[:-1].max(axis=(1, 2))
+        assert value_change.tobytes() == level_max.tobytes()
+
+
 class TestResiduals:
     def test_identical_iterates(self):
         g, tg, tgt, rho0 = small_problem()
         it = initialize_policies(rho0, g, tg, U, C, P, tgt)
         mix, moved = _mixed(it.rho_traj, it.rho_traj, 1, g)
-        nxt = solve_backward(mix, g, tg, U, C, P, tgt, into=_overwritable(it))
-        assert residuals(moved, nxt, tg) == (0.0, 0.0, 0.0)
+        changes, value_change = _overwritten(it, mix, g, tg, tgt)
+        assert residuals(moved, changes, value_change, g, tg) == (0.0, 0.0, 0.0)
 
     def test_single_cell_flip_fraction(self):
         g, tg, tgt, rho0 = small_problem()
         a = initialize_policies(rho0, g, tg, U, C, P, tgt)
-        b = _overwritable(a)
-        b.u_idx[3, 1, 17] = 0 if b.u_idx[3, 1, 17] != 0 else 1
+        a.u_idx[3, 1, 17] = 0 if a.u_idx[3, 1, 17] != 0 else 1
         mix, moved = _mixed(a.rho_traj, a.rho_traj, 1, g)
-        nxt = solve_backward(mix, g, tg, U, C, P, tgt, into=b)
-        pol, val, den = residuals(moved, nxt, tg)
+        pol, val, den = residuals(moved, *_overwritten(a, mix, g, tg, tgt), g, tg)
         assert pol == pytest.approx(1.0 / a.u_idx.size)
         assert val == 0.0 and den == 0.0
 
     def test_constant_value_shift(self):
         g, tg, tgt, rho0 = small_problem()
         a = initialize_policies(rho0, g, tg, U, C, P, tgt)
-        b = _overwritable(a)
-        b.values[...] += 2.5
+        a.values[:-1] += 2.5  # level N is the terminal slice in every iterate
         mix, moved = _mixed(a.rho_traj, a.rho_traj, 1, g)
-        nxt = solve_backward(mix, g, tg, U, C, P, tgt, into=b)
-        pol, val, den = residuals(moved, nxt, tg)
+        pol, val, den = residuals(moved, *_overwritten(a, mix, g, tg, tgt), g, tg)
         assert pol == 0.0
         assert val == pytest.approx(2.5)
         assert den == 0.0
@@ -151,11 +190,10 @@ class TestResiduals:
         a = initialize_policies(rho0, g, tg, U, C, P, tgt)
         run = _forward(rho0, g, tg, P, U, a.u_idx, a.q_target)
         ref = run.rho_traj if it == 1 else a.rho_traj + (run.rho_traj - a.rho_traj) / it
-        fresh = solve_backward(ref, g, tg, U, C, P, tgt)
+        want = _whole_array_residuals(a, solve_backward(ref, g, tg, U, C, P, tgt), g, tg)
         mix, moved = _mixed(a.rho_traj, run.rho_traj, it, g)
         assert mix.tobytes() == ref.tobytes()
-        nxt = solve_backward(mix, g, tg, U, C, P, tgt, into=_overwritable(a))
-        assert residuals(moved, nxt, tg) == _whole_array_residuals(a, fresh, g, tg)
+        assert residuals(moved, *_overwritten(a, mix, g, tg, tgt), g, tg) == want
 
 
 class TestArgminShiftInvariance:
