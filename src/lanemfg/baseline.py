@@ -9,6 +9,7 @@ exercise.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,8 @@ from .model import FluxParams, flux_eval
 __all__ = ["BaselineParams", "lwr_velocity", "uncontrolled_solve"]
 
 _RHO_TINY = 1e-12
+# the least exchange time: a subnormal one overflows the rate f/t of the exchange
+MIN_EXCHANGE_TIME = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -31,8 +34,8 @@ class BaselineParams:
 
     def __post_init__(self):
         for name, rates in (("t_left", self.t_left), ("t_right", self.t_right)):
-            if any(not (r > 0 and np.isfinite(r)) for r in rates):
-                raise ValueError(f"{name} rates must be positive and finite")
+            if any(not (r >= MIN_EXCHANGE_TIME and np.isfinite(r)) for r in rates):
+                raise ValueError(f"{name} rates must be finite and at least {MIN_EXCHANGE_TIME}")
 
 
 def lwr_velocity(rho, p: FluxParams):
@@ -46,6 +49,8 @@ def uncontrolled_solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams,
                        bp: BaselineParams) -> transport.TransportRun:
     """Forward march of the uncontrolled multi-lane system."""
     rho0 = np.atleast_2d(np.asarray(rho0, dtype=float))
+    if not np.isfinite(rho0).all():
+        raise ValueError("initial density must be finite")
     n = rho0.shape[0]
     if len(bp.t_left) != n or len(bp.t_right) != n:
         raise ValueError(f"exchange rates must list one value per lane ({n})")

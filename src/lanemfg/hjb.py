@@ -19,35 +19,14 @@ transforms of sampled functions", 2012). Ties go to the own lane, then
 the smaller |b - a|, then the smaller b, so a lane switches only where
 a switch strictly improves on W.
 
-The Hamiltonian minimization reads V_next at only two feet of a cell,
-the top and the second-highest or the home and the lowest moving one,
-wherever that decides the argmin exactly, and runs the full search over
-every level elsewhere. The located foot is
-monotone in u, so every foot of a cell lies between its node and its top
-foot. Where the top foot locates onto the node itself ("home"), every
-candidate is the same number and the tie rule picks the top. Where the
-speed is positive, V_next does not rise between the node and the top
-foot, and the top foot's value lies below the second foot's by a margin
-that outweighs the rounding of the P1 formula ("falling with margin"),
-every lower foot computes to at least the top's value. Both give u = 1
-and V = dt*l + V_next(top foot), bit for bit what the full search gives.
-The mirror rule settles the cells past a target: where the speed is
-positive, V_next does not fall between the node and the top foot, and
-u = 0's total lies below the lowest positive level's by the same margin
-("rising with margin"), every positive level totals strictly more than
-u = 0, so the cell takes u = 0 and V = dt*l + V_next(node) without the
-search. hamiltonian_step spells out the bounds.
-
-Both stages skip the columns where nothing can happen, as narrow-band
-level-set methods do (Adalsteinsson & Sethian 1995). A column is still
-when model.moving_span proves that no lane's foot moves by
-grid.home_reach: every foot then locates home, and the cell takes the
-top level at dt*l + P1(home) without its speed, its feet or the search.
-The speed, the feet, the rise and fall counts and the search run on the
-span between the first and the last moving column; the speed reads the
-density up to its cap's reach beyond it. The switch stage runs its
-envelope only on the columns whose lanes spread by kappa or more, since
-below that no switch can strictly improve.
+The Hamiltonian minimization settles most cells from two feet, bit for
+bit what the full search over every control level gives: by the home
+rule, by the falling and rising rules with their rounding margins, and
+on the still columns, where model.moving_span proves that no foot
+moves, without the speed or the feet, as narrow-band level-set methods
+skip what cannot change (Adalsteinsson & Sethian 1995). hamiltonian_step
+states the rules and their bounds. The switch stage runs its envelope
+only on the columns whose lanes spread by kappa or more (jump_operator).
 
 Lane labels are 1-based throughout (q_target values live in 1..n); array
 axes are 0-based as usual.
@@ -128,7 +107,6 @@ def jump_operator(v, c: CostParams):
     kappa too, so V(x, b) + kappa*|a - b| > V(x, a) for every b != a, and
     rounding can at most tie: the own lane wins, bit for bit.
     """
-    v = np.atleast_2d(np.asarray(v, dtype=float))
     n, m = v.shape
     psi = v.copy()
     target = np.repeat(np.arange(1, n + 1)[:, None], m, axis=1)
@@ -145,10 +123,9 @@ def jump_operator(v, c: CostParams):
     cand[:, 1:] += switching_cost(lanes[:, None], order[:, 1:], c)[:, :, None]
     best = cand.min(axis=1)
     psi[:, cols] = best
-    # target: the least tie rank among the candidates that attain psi (a rank
-    # counts n more where its candidate exceeds psi); int32 keeps these small
-    rank = np.min(np.arange(n, dtype=np.int32)[:, None]
-                  + np.int32(n) * (cand > best[:, None]), axis=1)
+    # the first candidate in tie order that attains psi; a NaN psi matches none, and
+    # argmax then picks the own lane
+    rank = np.argmax(cand == best[:, None], axis=1)
     target[:, cols] = np.take(order + 1, rank + n * lanes[:, None])
     return psi, target
 
@@ -216,8 +193,6 @@ def hamiltonian_step(v_next, rho, g: SpatialGrid, dt: float, controls: ControlSe
 
     Returns (values, u_idx).
     """
-    v_next = np.atleast_2d(np.asarray(v_next, dtype=float))
-    rho = np.atleast_2d(np.asarray(rho, dtype=float))
     n, m = v_next.shape
     u = controls.values
     k = u.size
@@ -353,6 +328,8 @@ def solve_backward(rho_traj, g: SpatialGrid, tg: TimeGrid, controls: ControlSet,
     n_steps = tg.step_count
     if rho_traj.shape[0] != n_steps + 1:
         raise ValueError(f"density trajectory has {rho_traj.shape[0]} levels, expected {n_steps + 1}")
+    if rho_traj.shape[1] > MAX_LANES:
+        raise ValueError(f"at most {MAX_LANES} lanes, got {rho_traj.shape[1]}")
 
     v_next = terminal_slice(g, rho_traj.shape[1], tgt)
     result = None

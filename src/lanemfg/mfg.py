@@ -163,6 +163,8 @@ def solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams, c: CostParams,
         logger.warning("dt*a = %.3g > 1: positivity clamp may engage", tg.dt * p.a)
 
     rho0 = np.atleast_2d(np.asarray(rho0, dtype=float))
+    if not np.isfinite(rho0).all():
+        raise ValueError("initial density must be finite")
     current = initialize_policies(rho0, g, tg, controls, c, p, tgt)
 
     # the only density trajectory the loop holds; the first run is copied into it,

@@ -4,8 +4,9 @@ Everything here is a pure function of its arguments: the triangular
 fundamental diagram, the transport speed of both sweeps (f capped by
 downstream supply, along a node axis) and the columns where it can move
 a foot, the lane-switching cost, the congestion running cost and the
-distance-to-target terminal cost. The other evaluators accept scalars or
-numpy arrays and broadcast.
+distance-to-target terminal cost. transport_speed and moving_span take
+float64 (lanes, nodes) arrays; the other evaluators accept scalars or
+arrays and broadcast.
 """
 
 from __future__ import annotations
@@ -83,9 +84,8 @@ def flux_eval(rho, p: FluxParams):
     negative only for rho > rho_max, which callers may treat as an
     overshoot signal.
     """
-    r = np.maximum(np.asarray(rho, dtype=float), 0.0)
-    out = np.minimum(p.a * r, p.b * (p.rho_max - r))
-    return out if out.ndim else float(out)
+    r = np.maximum(rho, 0.0)
+    return np.minimum(p.a * r, p.b * (p.rho_max - r))
 
 
 def critical_density(p: FluxParams) -> float:
@@ -116,7 +116,6 @@ def transport_speed(rho, p: FluxParams, dt: float, dx: float, span=None):
     as in the whole road's speed: they read the density up to the reach
     beyond hi, and the cap takes the same minima in the same order.
     """
-    rho = np.asarray(rho, dtype=float)
     m = rho.shape[-1]
     # offsets of M or more slice nothing, so a larger reach changes nothing
     reach = max(1, int(min(m - 1, np.ceil(dt * max_flux(p) / dx))))
@@ -143,14 +142,13 @@ def moving_span(rho, p: FluxParams, dt: float, still: float):
     """
     rate = 2.0 * p.a * dt
     rho_still = min(p.rho_max, still / rate) if rate > 0.0 else p.rho_max
-    busy = np.flatnonzero(~(np.asarray(rho, dtype=float).max(axis=0) <= rho_still))
+    busy = np.flatnonzero(~(rho.max(axis=0) <= rho_still))
     return (int(busy[0]), int(busy[-1]) + 1) if busy.size else (0, 0)
 
 
 def switching_cost(alpha, beta, c: CostParams):
     """Cost kappa * |alpha - beta| of jumping between lane indices."""
-    out = c.kappa * np.abs(np.asarray(alpha) - np.asarray(beta))
-    return out if out.ndim else float(out)
+    return c.kappa * np.abs(np.asarray(alpha) - np.asarray(beta))
 
 
 def running_cost(rho, c: CostParams, p: FluxParams):
@@ -158,13 +156,11 @@ def running_cost(rho, c: CostParams, p: FluxParams):
 
     Negative densities are clamped to 0 first, mirroring flux_eval.
     """
-    r = np.maximum(np.asarray(rho, dtype=float), 0.0)
-    out = 1.0 / np.maximum(p.rho_max - r, c.epsilon)
-    return out if out.ndim else float(out)
+    r = np.maximum(rho, 0.0)
+    return 1.0 / np.maximum(p.rho_max - r, c.epsilon)
 
 
 def terminal_value(x, t: TargetSet):
     """Distance from position x to the nearest target position (lane-uniform)."""
     xs = np.asarray(x, dtype=float)
-    d = np.abs(xs[..., None] - t.positions).min(axis=-1)
-    return d if d.ndim else float(d)
+    return np.abs(xs[..., None] - t.positions).min(axis=-1)

@@ -17,13 +17,12 @@ import json
 import math
 import os
 import reprlib
-import sys
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .baseline import BaselineParams
+from .baseline import MIN_EXCHANGE_TIME, BaselineParams
 from .grid import SpatialGrid, TimeGrid, build_uniform, project_initial
 from .hjb import MAX_LANES, ControlSet
 from .mfg import SolverOptions, peak_bytes
@@ -143,8 +142,7 @@ def _seq(what: str, each, least: int = 0) -> Coercer:
 
 _real = _num()
 _positive = _num("a finite positive number", lambda x: x > 0)
-# a subnormal exchange time overflows the rate f/t of the uncontrolled model
-_normal = _num(f"a finite number >= {sys.float_info.min}", lambda x: x >= sys.float_info.min)
+_normal = _num(f"a finite number >= {MIN_EXCHANGE_TIME}", lambda x: x >= MIN_EXCHANGE_TIME)
 _nonnegative = _num("a finite nonnegative number", lambda x: x >= 0)
 
 

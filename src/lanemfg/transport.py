@@ -88,17 +88,15 @@ def g_operator(w, feet, g: SpatialGrid, first: int = 0):
     diffusion. The ratio is exactly 1.0 between interior cells, so it is
     taken only for the deposits from or onto an end node.
 
-    w and feet hold one row, or one row per lane, for the nodes first,
-    first + 1, ... of the grid, and so do the densities. A foot that stays
-    must deposit on its lane's nodes, or put an exact 0 past them, which
-    adds to nothing. Each lane's bins sum its deposits in the order of its
-    nodes, and outflow sums each lane's exited mass on its own and adds the
-    lanes in order, so one call gives the bits of one call per lane.
+    w and feet are float64 (lanes, size) arrays, one row per lane for the
+    nodes first, first + 1, ... of the grid, and so are the densities. A
+    foot that stays must deposit on its lane's nodes, or put an exact 0
+    past them, which adds to nothing. Each lane's bins sum its deposits in
+    the order of its nodes, and outflow sums each lane's exited mass on its
+    own and adds the lanes in order, so one call gives the bits of one call
+    per lane.
     """
-    w = np.asarray(w, dtype=float)
-    shape, size = w.shape, w.shape[-1]
-    w = w.reshape(-1, size)
-    feet = np.asarray(feet, dtype=float).reshape(w.shape)
+    size = w.shape[1]
     cw = g.cell_widths
     own = cw[first:first + size]
     grace = 0.5 * g.dx
@@ -143,7 +141,7 @@ def g_operator(w, feet, g: SpatialGrid, first: int = 0):
     bins += 1
     np.minimum(bins, lane_start + (size - 1), out=bins)
     acc += np.bincount(bins.reshape(-1), weights=right.reshape(-1), minlength=acc.size)
-    return acc.reshape(shape), outflow
+    return acc.reshape(w.shape), outflow
 
 
 def mfg_source(rho, q, p: FluxParams):
@@ -155,22 +153,18 @@ def mfg_source(rho, q, p: FluxParams):
     at zero (a car flow cannot be negative) and fades to zero as the
     receiving lane approaches the jam density.
     """
-    rho = np.asarray(rho, dtype=float)
-    q = np.asarray(q)
-    n = rho.shape[0]
+    n, m = rho.shape
     if q.shape != rho.shape:
         raise ValueError(f"switch targets shape {q.shape} != density shape {rho.shape}")
     if q.min() < 1 or q.max() > n:
         raise ValueError(f"switch targets must lie in 1..{n}, got range [{q.min()}, {q.max()}]")
 
-    flux = np.maximum(flux_eval(rho, p), 0.0)
-    room = np.clip((p.rho_max - rho) / ((1.0 - EXCHANGE_FADE_START) * p.rho_max), 0.0, 1.0)
     # the switching cells in lane-major order; each donor's loss and gain,
     # interleaved, keep every node's terms in donor order, as a lane loop sums them
     a, j = np.nonzero(q != np.arange(1, n + 1)[:, None])
     tgt = q[a, j] - 1
-    transfer = flux[a, j] * room[tgt, j]
-    m = rho.shape[1]
+    room = np.clip((p.rho_max - rho[tgt, j]) / ((1.0 - EXCHANGE_FADE_START) * p.rho_max), 0.0, 1.0)
+    transfer = np.maximum(flux_eval(rho[a, j], p), 0.0) * room
     # stacked beside the intp donors, int16 targets widen before the product
     bins = np.stack((a, tgt), axis=1) * m + j[:, None]
     terms = np.stack((-transfer, transfer), axis=1)
@@ -183,8 +177,6 @@ def shvetsov_source(rho, t_left, t_right, p: FluxParams):
     t_left[a] and t_right[a] are the (positive) time scales of lane a's
     exchange across its two interfaces; boundary lanes have one interface.
     """
-    rho = np.asarray(rho, dtype=float)
-    n = rho.shape[0]
     tl = np.asarray(t_left, dtype=float)[:, None]
     tr = np.asarray(t_right, dtype=float)[:, None]
     if np.any(tl <= 0) or np.any(tr <= 0):
@@ -209,9 +201,6 @@ def forward_step(rho, vel, src, g: SpatialGrid, dt: float):
     to 0 before the push, both summed over lanes. The push runs only on
     the window of the road where some foot may move (module docstring).
     """
-    rho = np.atleast_2d(np.asarray(rho, dtype=float))
-    vel = np.atleast_2d(np.asarray(vel, dtype=float))
-    src = np.atleast_2d(np.asarray(src, dtype=float))
     pre = dt * src
     pre += rho
     clamped = float(-(np.minimum(pre, 0.0) * g.cell_widths).sum())
@@ -239,8 +228,7 @@ def forward_step(rho, vel, src, g: SpatialGrid, dt: float):
 
 
 def total_mass(rho, g: SpatialGrid):
-    """(per-lane masses, grand total) of a density slice."""
-    rho = np.atleast_2d(np.asarray(rho, dtype=float))
+    """(per-lane masses, grand total) of a (lanes, nodes) density slice."""
     per_lane = rho @ g.cell_widths
     return per_lane, float(per_lane.sum())
 
@@ -248,10 +236,11 @@ def total_mass(rho, g: SpatialGrid):
 def sweep(rho0, g: SpatialGrid, tg: TimeGrid, velocity_at, source_at, sink=None) -> TransportRun:
     """March the density forward over the whole horizon.
 
-    velocity_at(k, rho_k) and source_at(k, rho_k) supply the per-lane,
-    per-node velocity and source for step k -> k+1. The first step that
-    clamps more than CLAMP_WARN_FRACTION of its total mass (so any mass,
-    when that total is not positive) sets clamp_flagged and logs a warning.
+    velocity_at(k, rho_k) and source_at(k, rho_k) supply the velocity and
+    source for step k -> k+1, each a float64 (lanes, nodes) array. The
+    first step that clamps more than CLAMP_WARN_FRACTION of its total mass
+    (so any mass, when that total is not positive) sets clamp_flagged and
+    logs a warning.
 
     Without a sink every level is stored in the run's rho_traj. With one,
     sink(k, rho_k) receives levels 0..N in order, each once and as soon as

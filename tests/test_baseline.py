@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,24 @@ class TestBaselineParams:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             BaselineParams(t_left=(1.0, 0.0), t_right=(1.0, 1.0))
+
+    def test_rejects_subnormal_exchange_time(self):
+        # f/t overflows for a subnormal t; the least normal float is the floor
+        BaselineParams(t_left=(sys.float_info.min, 1.0), t_right=(1.0, 1.0))
+        with pytest.raises(ValueError, match="t_left"):
+            BaselineParams(t_left=(1e-320, 1.0), t_right=(1.0, 1.0))
+        with pytest.raises(ValueError, match="t_right"):
+            BaselineParams(t_left=(1.0, 1.0), t_right=(1.0, 5e-324))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_initial_density(self, bad):
+        g = build_uniform(0.0, 10.0, 11)
+        tg = TimeGrid(horizon=1.0, step_count=5)
+        bp = BaselineParams(t_left=(1.0, 1.0), t_right=(1.0, 1.0))
+        rho0 = np.zeros((2, 11))
+        rho0[0, 4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            uncontrolled_solve(rho0, g, tg, P, bp)
 
     def test_rejects_wrong_length(self):
         g = build_uniform(0.0, 10.0, 11)

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from lanemfg.grid import TimeGrid, build_uniform, locate
 from lanemfg.hjb import (
     MAX_CONTROL_LEVELS,
+    MAX_LANES,
     ControlSet,
     hamiltonian_step,
     jump_operator,
@@ -631,6 +632,17 @@ class TestSolveBackward:
         tg = TimeGrid(horizon=1.0, step_count=4)
         with pytest.raises(ValueError):
             solve_backward(np.zeros((3, 1, 3)), g, tg, U3, C, P, TargetSet(((1.0, 1),)))
+
+    def test_lane_count_bounded_by_the_policy_dtype(self):
+        # q_target is stored as int16: the last of MAX_LANES lanes must round-trip,
+        # and one more lane would wrap
+        g = build_uniform(0.0, 1.0, 3)
+        tg = TimeGrid(horizon=0.1, step_count=1)
+        res = solve_backward(np.zeros((2, MAX_LANES, 3)), g, tg, U3, C, P, TargetSet(((1.0, 1),)))
+        np.testing.assert_array_equal(res.q_target[0, -1], MAX_LANES)
+        with pytest.raises(ValueError, match="lanes"):
+            solve_backward(np.zeros((2, MAX_LANES + 1, 3)), g, tg, U3, C, P,
+                           TargetSet(((1.0, 1),)))
 
 
 class TestSolveBackwardSink:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from lanemfg import transport
 from lanemfg.grid import TimeGrid, build_uniform
-from lanemfg.hjb import (POLICY_DTYPE, BackwardResult, ControlSet, qvi_backward_step,
-                         solve_backward)
+from lanemfg.hjb import (MAX_LANES, POLICY_DTYPE, BackwardResult, ControlSet,
+                         qvi_backward_step, solve_backward)
 from lanemfg.mfg import (SolverOptions, _averager, _forward, _overwriter, initialize_policies,
                          peak_bytes, residuals, solve)
 from lanemfg.model import CostParams, FluxParams, TargetSet
@@ -249,6 +249,18 @@ class TestSolve:
         sol = solve(rho0, g, tg, P, C, U, tgt, options=opts)
         assert not sol.converged
         assert sol.iterations == 1
+
+    def test_rejects_more_lanes_than_the_policy_dtype(self):
+        g, tg, tgt, _ = small_problem(m=3, n_steps=1)
+        with pytest.raises(ValueError, match="lanes"):
+            solve(np.zeros((MAX_LANES + 1, 3)), g, tg, P, C, U, tgt)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_initial_density(self, bad):
+        g, tg, tgt, rho0 = small_problem()
+        rho0[1, 7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve(rho0, g, tg, P, C, U, tgt)
 
     def test_rate_condition_warning(self, caplog):
         g, tg, tgt, rho0 = small_problem(n_steps=2)  # dt = 1.5, so dt*a = 4.5

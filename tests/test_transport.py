@@ -34,40 +34,40 @@ class TestGOperator:
     def test_identity_on_nodes(self):
         g = build_uniform(0.0, 10.0, 11)
         w = np.linspace(0.3, 1.7, 11)
-        out, lost = g_operator(w, g.nodes.copy(), g)
-        np.testing.assert_array_equal(out, w)
+        out, lost = g_operator(w[None], g.nodes[None].copy(), g)
+        np.testing.assert_array_equal(out[0], w)
         assert lost == 0.0
 
     def test_half_cell_shift_interior(self):
         g = build_uniform(0.0, 4.0, 5)
         w = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-        out, lost = g_operator(w, g.nodes + 0.5, g)
-        np.testing.assert_allclose(out, [0.0, 0.0, 0.5, 0.5, 0.0], atol=1e-15)
+        out, lost = g_operator(w[None], g.nodes[None] + 0.5, g)
+        np.testing.assert_allclose(out[0], [0.0, 0.0, 0.5, 0.5, 0.0], atol=1e-15)
         assert lost == 0.0
 
     def test_full_cell_shift_lands_on_node(self):
         g = build_uniform(0.0, 4.0, 5)
         w = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-        out, lost = g_operator(w, g.nodes + 1.0, g)
-        np.testing.assert_array_equal(out, [0.0, 0.0, 0.0, 1.0, 0.0])
+        out, lost = g_operator(w[None], g.nodes[None] + 1.0, g)
+        np.testing.assert_array_equal(out[0], [0.0, 0.0, 0.0, 1.0, 0.0])
         assert lost == 0.0
 
     def test_boundary_grace_deposits_on_last_node(self):
         g = build_uniform(0.0, 4.0, 5)
         w = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
         feet = g.nodes + 0.4 * g.dx  # last foot inside the half-cell grace zone
-        out, lost = g_operator(w, feet, g)
+        out, lost = g_operator(w[None], feet[None], g)
         assert lost == 0.0
         # all mass back on the last node
-        assert out[-1] == pytest.approx(1.0)
+        assert out[0, -1] == pytest.approx(1.0)
 
     def test_beyond_grace_exits(self):
         g = build_uniform(0.0, 4.0, 5)
         w = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
         feet = g.nodes + 0.6 * g.dx
-        out, lost = g_operator(w, feet, g)
+        out, lost = g_operator(w[None], feet[None], g)
         assert lost == pytest.approx(w[-1] * g.cell_widths[-1])
-        assert out[-1] == 0.0
+        assert out[0, -1] == 0.0
 
     def test_conserves_mass_random(self):
         g = build_uniform(0.0, 10.0, 41)
@@ -76,8 +76,8 @@ class TestGOperator:
             w = rng.uniform(0.0, 1.0, 41)
             vel = rng.uniform(0.0, 0.8, 41)
             feet = g.nodes + 0.5 * vel
-            out, lost = g_operator(w, feet, g)
-            assert float(out @ g.cell_widths) + lost == pytest.approx(
+            out, lost = g_operator(w[None], feet[None], g)
+            assert float(out[0] @ g.cell_widths) + lost == pytest.approx(
                 float(w @ g.cell_widths), rel=1e-12
             )
 
@@ -211,10 +211,10 @@ class TestBitwiseReferences:
         shifts = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-0.6, -0.4, 0.4, 0.6]),
                            st.sampled_from([-np.inf, np.inf]))
         feet = g.nodes + g.dx * data.draw(arrays(np.float64, m, elements=shifts))
-        out, lost = g_operator(w, feet, g)
+        out, lost = g_operator(w[None], feet[None], g)
         ref, ref_lost = _g_operator_compacted(w, feet, g)
-        np.testing.assert_array_equal(out, ref)
-        np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
+        np.testing.assert_array_equal(out[0], ref)
+        np.testing.assert_array_equal(np.signbit(out[0]), np.signbit(ref))
         assert lost == ref_lost
 
     @settings(max_examples=300, deadline=None)
