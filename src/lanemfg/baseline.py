@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transport
-from .grid import SpatialGrid, TimeGrid
+from .grid import SpatialGrid, TimeGrid, lane_density
 from .model import FluxParams, flux_eval
 
 __all__ = ["BaselineParams", "lwr_velocity", "uncontrolled_solve"]
@@ -27,7 +27,7 @@ MIN_EXCHANGE_TIME = sys.float_info.min
 
 @dataclass(frozen=True)
 class BaselineParams:
-    """Per-lane exchange time scales of the uncontrolled model."""
+    """Per-lane exchange time scales of the uncontrolled model, each finite and normal."""
 
     t_left: tuple[float, ...]
     t_right: tuple[float, ...]
@@ -39,26 +39,23 @@ class BaselineParams:
 
 
 def lwr_velocity(rho, p: FluxParams):
-    """Car speed f(rho)/rho, with the free-flow limit a as rho -> 0."""
-    r = np.asarray(rho, dtype=float)
-    out = np.where(r > _RHO_TINY, flux_eval(r, p) / np.where(r > _RHO_TINY, r, 1.0), p.a)
-    return out if out.ndim else float(out)
+    """Car speed f(rho)/rho of a float64 array, with the free-flow limit a as rho -> 0."""
+    return np.divide(flux_eval(rho, p), rho, out=np.full_like(rho, p.a), where=rho > _RHO_TINY)
 
 
 def uncontrolled_solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams,
                        bp: BaselineParams) -> transport.TransportRun:
-    """Forward march of the uncontrolled multi-lane system."""
-    rho0 = np.atleast_2d(np.asarray(rho0, dtype=float))
-    if not np.isfinite(rho0).all():
-        raise ValueError("initial density must be finite")
+    """Forward march of the uncontrolled system; bp's times reach shvetsov_source as arrays."""
+    rho0 = lane_density(rho0, g)
     n = rho0.shape[0]
     if len(bp.t_left) != n or len(bp.t_right) != n:
         raise ValueError(f"exchange rates must list one value per lane ({n})")
+    t_left, t_right = np.array(bp.t_left, dtype=float), np.array(bp.t_right, dtype=float)
 
     def velocity_at(_k, rho):
         return lwr_velocity(rho, p)
 
     def source_at(_k, rho):
-        return transport.shvetsov_source(rho, bp.t_left, bp.t_right, p)
+        return transport.shvetsov_source(rho, t_left, t_right, p)
 
     return transport.sweep(rho0, g, tg, velocity_at, source_at)

@@ -21,6 +21,7 @@ __all__ = [
     "SpatialGrid",
     "TimeGrid",
     "build_uniform",
+    "lane_density",
     "locate",
     "p1_at",
     "project_initial",
@@ -74,8 +75,8 @@ class SpatialGrid:
 
 def build_uniform(x_lo: float, x_hi: float, m: int) -> SpatialGrid:
     """Uniform grid of m nodes on [x_lo, x_hi] with node-centered cells."""
-    if not x_lo < x_hi:
-        raise ValueError(f"empty spatial domain: [{x_lo}, {x_hi}]")
+    if not (x_lo < x_hi and np.isfinite(x_hi - x_lo)):
+        raise ValueError(f"empty or non-finite spatial domain: [{x_lo}, {x_hi}]")
     if m < 2:
         raise ValueError(f"need at least 2 nodes, got {m}")
     nodes = np.linspace(x_lo, x_hi, m)
@@ -101,6 +102,19 @@ class TimeGrid:
     @property
     def dt(self) -> float:
         return self.horizon / self.step_count
+
+
+def lane_density(rho, g: SpatialGrid) -> np.ndarray:
+    """rho as a C-ordered float64 (lanes, M) array; a 1-D row is one lane.
+
+    The solver's entry points check each density here, once; the kernels behind
+    them take it as given. ValueError unless rho has at most two axes,
+    g.node_count nodes and finite values.
+    """
+    rho = np.ascontiguousarray(np.atleast_2d(rho), dtype=float)
+    if rho.ndim != 2 or rho.shape[1] != g.node_count or not np.isfinite(rho).all():
+        raise ValueError(f"density must be finite, of shape (lanes, {g.node_count}), not {rho.shape}")
+    return rho
 
 
 def locate(x, g: SpatialGrid):

@@ -69,7 +69,7 @@ class ControlSet:
         lv = self.levels
         if len(lv) < 2 or lv[0] != 0.0 or lv[-1] != 1.0:
             raise ValueError("control levels must start at 0 and end at 1")
-        if any(b <= a for a, b in zip(lv, lv[1:])):
+        if any(not b > a for a, b in zip(lv, lv[1:])):
             raise ValueError("control levels must be strictly increasing")
         if len(lv) > MAX_CONTROL_LEVELS:
             raise ValueError(f"at most {MAX_CONTROL_LEVELS} control levels, got {len(lv)}")
@@ -326,8 +326,8 @@ def solve_backward(rho_traj, g: SpatialGrid, tg: TimeGrid, controls: ControlSet,
     """
     rho_traj = np.asarray(rho_traj, dtype=float)
     n_steps = tg.step_count
-    if rho_traj.shape[0] != n_steps + 1:
-        raise ValueError(f"density trajectory has {rho_traj.shape[0]} levels, expected {n_steps + 1}")
+    if rho_traj.ndim != 3 or rho_traj.shape[::2] != (n_steps + 1, g.node_count):
+        raise ValueError(f"rho_traj is {rho_traj.shape}, not ({n_steps + 1}, lanes, {g.node_count})")
     if rho_traj.shape[1] > MAX_LANES:
         raise ValueError(f"at most {MAX_LANES} lanes, got {rho_traj.shape[1]}")
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hjb, transport
-from .grid import SpatialGrid, TimeGrid
+from .grid import SpatialGrid, TimeGrid, lane_density
 from .model import CostParams, FluxParams, TargetSet, moving_span, transport_speed
 
 __all__ = ["SolverOptions", "MfgSolution", "initialize_policies", "residuals", "solve",
@@ -51,9 +51,9 @@ class SolverOptions:
     def __post_init__(self):
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
-        if self.tol_policy < 0:
+        if not self.tol_policy >= 0:
             raise ValueError("tol_policy must be nonnegative")
-        if self.tol_value is not None and self.tol_value < 0:
+        if self.tol_value is not None and not self.tol_value >= 0:
             raise ValueError("tol_value must be nonnegative")
 
 
@@ -122,7 +122,7 @@ def _overwriter(iterate: hjb.BackwardResult, changes, value_change):
 def initialize_policies(rho0, g: SpatialGrid, tg: TimeGrid, controls: hjb.ControlSet,
                         c: CostParams, p: FluxParams, tgt: TargetSet) -> hjb.BackwardResult:
     """Starting policies from a backward solve on the initial density frozen in time."""
-    rho0 = np.atleast_2d(np.asarray(rho0, dtype=float))
+    rho0 = lane_density(rho0, g)
     frozen = np.broadcast_to(rho0, (tg.step_count + 1,) + rho0.shape)
     return hjb.solve_backward(frozen, g, tg, controls, c, p, tgt)
 
@@ -162,9 +162,7 @@ def solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams, c: CostParams,
     if tg.dt * p.a > 1.0:
         logger.warning("dt*a = %.3g > 1: positivity clamp may engage", tg.dt * p.a)
 
-    rho0 = np.atleast_2d(np.asarray(rho0, dtype=float))
-    if not np.isfinite(rho0).all():
-        raise ValueError("initial density must be finite")
+    rho0 = lane_density(rho0, g)
     current = initialize_policies(rho0, g, tg, controls, c, p, tgt)
 
     # the only density trajectory the loop holds; the first run is copied into it,

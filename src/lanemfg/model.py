@@ -148,7 +148,7 @@ def moving_span(rho, p: FluxParams, dt: float, still: float):
 
 def switching_cost(alpha, beta, c: CostParams):
     """Cost kappa * |alpha - beta| of jumping between lane indices."""
-    return c.kappa * np.abs(np.asarray(alpha) - np.asarray(beta))
+    return c.kappa * np.abs(alpha - beta)
 
 
 def running_cost(rho, c: CostParams, p: FluxParams):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SpatialGrid, TimeGrid, locate
+from .grid import SpatialGrid, TimeGrid, lane_density, locate
 from .model import FluxParams, flux_eval
 
 __all__ = [
@@ -154,11 +154,6 @@ def mfg_source(rho, q, p: FluxParams):
     receiving lane approaches the jam density.
     """
     n, m = rho.shape
-    if q.shape != rho.shape:
-        raise ValueError(f"switch targets shape {q.shape} != density shape {rho.shape}")
-    if q.min() < 1 or q.max() > n:
-        raise ValueError(f"switch targets must lie in 1..{n}, got range [{q.min()}, {q.max()}]")
-
     # the switching cells in lane-major order; each donor's loss and gain,
     # interleaved, keep every node's terms in donor order, as a lane loop sums them
     a, j = np.nonzero(q != np.arange(1, n + 1)[:, None])
@@ -174,17 +169,13 @@ def mfg_source(rho, q, p: FluxParams):
 def shvetsov_source(rho, t_left, t_right, p: FluxParams):
     """Relaxation-type exchange terms of the uncontrolled multi-lane model.
 
-    t_left[a] and t_right[a] are the (positive) time scales of lane a's
-    exchange across its two interfaces; boundary lanes have one interface.
+    t_left[a] and t_right[a] are the time scales of lane a's exchange across
+    its two interfaces; boundary lanes have one. Both are float64 (lanes,)
+    arrays, which uncontrolled_solve builds once from the checked BaselineParams.
     """
-    tl = np.asarray(t_left, dtype=float)[:, None]
-    tr = np.asarray(t_right, dtype=float)[:, None]
-    if np.any(tl <= 0) or np.any(tr <= 0):
-        raise ValueError("exchange time scales must be positive")
-
     f = flux_eval(rho, p)
-    dl = f / tl
-    dr = f / tr
+    dl = f / t_left[:, None]
+    dr = f / t_right[:, None]
     src = np.zeros_like(rho)
     # interface with lane alpha-1 (absent for the first lane)
     src[1:] += dl[:-1] - dr[1:]
@@ -248,7 +239,7 @@ def sweep(rho0, g: SpatialGrid, tg: TimeGrid, velocity_at, source_at, sink=None)
     level it steps from, and the run's rho_traj is None.
     """
     # C order, as a stored level is: the kernels' reductions then see the same layout
-    rho0 = np.ascontiguousarray(np.atleast_2d(rho0), dtype=float)
+    rho0 = lane_density(rho0, g)
     n_steps = tg.step_count
     traj = None
     if sink is None:

@@ -59,6 +59,14 @@ class TestBaselineParams:
         with pytest.raises(ValueError, match="finite"):
             uncontrolled_solve(rho0, g, tg, P, bp)
 
+    @pytest.mark.parametrize("shape", [(1, 2, 11), (2, 10)], ids=["3-d", "wrong-node-count"])
+    def test_rejects_a_wrong_shape_naming_the_expected_one(self, shape):
+        g = build_uniform(0.0, 10.0, 11)
+        tg = TimeGrid(horizon=1.0, step_count=5)
+        bp = BaselineParams(t_left=(1.0, 1.0), t_right=(1.0, 1.0))
+        with pytest.raises(ValueError, match=r"\(lanes, 11\)"):
+            uncontrolled_solve(np.zeros(shape), g, tg, P, bp)
+
     def test_rejects_wrong_length(self):
         g = build_uniform(0.0, 10.0, 11)
         tg = TimeGrid(horizon=1.0, step_count=5)

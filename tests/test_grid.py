@@ -41,6 +41,10 @@ class TestBuildUniform:
             build_uniform(0.0, 25.0, 1)
         with pytest.raises(ValueError):
             build_uniform(3.0, 3.0, 5)
+        # an infinite end, or a width that overflows, would give NaN and inf nodes
+        for x_lo, x_hi in ((0.0, np.inf), (-np.inf, 0.0), (-1e308, 1e308)):
+            with pytest.raises(ValueError, match="non-finite"):
+                build_uniform(x_lo, x_hi, 5)
 
 
 class TestTimeGrid:

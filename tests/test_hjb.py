@@ -118,6 +118,8 @@ class TestControlSet:
             ControlSet((0.1, 1.0))
         with pytest.raises(ValueError):
             ControlSet((0.0, 0.5, 0.5, 1.0))
+        with pytest.raises(ValueError, match="increasing"):
+            ControlSet((0.0, math.nan, 1.0))
 
     def test_level_count_bounded_by_the_policy_dtype(self):
         # u_idx is stored as int16: the last of 2**15 levels must round-trip
@@ -632,6 +634,14 @@ class TestSolveBackward:
         tg = TimeGrid(horizon=1.0, step_count=4)
         with pytest.raises(ValueError):
             solve_backward(np.zeros((3, 1, 3)), g, tg, U3, C, P, TargetSet(((1.0, 1),)))
+
+    @pytest.mark.parametrize("rho_traj", [np.zeros((2, 5)), np.zeros((2, 1, 4))],
+                             ids=["no-lane-axis", "wrong-node-count"])
+    def test_rejects_a_wrong_shape_naming_the_expected_one(self, rho_traj):
+        g = build_uniform(0.0, 1.0, 5)
+        tg = TimeGrid(horizon=1.0, step_count=1)
+        with pytest.raises(ValueError, match=r"\(2, lanes, 5\)"):
+            solve_backward(rho_traj, g, tg, U3, C, P, TargetSet(((1.0, 1),)))
 
     def test_lane_count_bounded_by_the_policy_dtype(self):
         # q_target is stored as int16: the last of MAX_LANES lanes must round-trip,

@@ -1,11 +1,11 @@
 """The solvers hand their kernels float64 arrays with a lane axis.
 
 The entry points (mfg.solve, mfg.initialize_policies, hjb.solve_backward,
-transport.sweep and baseline.uncontrolled_solve) coerce and check their
-inputs once; the kernels behind them take their arrays as given. Here
-every such kernel is wrapped in each module that looks it up, and both
-modes of a small CLI run check the arrays of every call, so a caller that
-hands a kernel a list or a one-lane row fails here, not inside the kernel.
+transport.sweep and baseline.uncontrolled_solve) check their inputs once;
+the kernels behind them take their arrays as given. Here every such kernel
+is wrapped in each module that looks it up, and both modes of a small CLI
+run check the arrays of every call, so a caller that hands a kernel a list,
+a tuple or a one-lane row fails here, not inside the kernel.
 """
 
 import inspect
@@ -16,20 +16,23 @@ import pytest
 from lanemfg import baseline, cli, hjb, mfg, model, transport
 from lanemfg import scenario as sc
 
-# kernel -> its array arguments: (lanes, nodes) float64, the switch targets int16
+# kernel -> its array arguments: (lanes, nodes) float64, the switch targets int16,
+# the exchange times (lanes,) float64
 LANE_KERNELS = {
     "hamiltonian_step": ("v_next", "rho"),
     "jump_operator": ("v",),
     "forward_step": ("rho", "vel", "src"),
     "g_operator": ("w", "feet"),
     "mfg_source": ("rho", "q"),
-    "shvetsov_source": ("rho",),
+    "shvetsov_source": ("rho", "t_left", "t_right"),
+    "lwr_velocity": ("rho",),
     "total_mass": ("rho",),
     "transport_speed": ("rho",),
     "moving_span": ("rho",),
 }
 # pointwise evaluators, which the fast paths also call on gathered cells: float64, any shape
 POINTWISE = {"flux_eval": ("rho",), "running_cost": ("rho",)}
+PER_LANE = {"t_left", "t_right"}
 MODULES = (model, hjb, transport, mfg, baseline, cli)
 
 SCENARIO = {
@@ -62,7 +65,8 @@ def _guard(name, fn, args, lane_axis, calls):
             assert type(x) is np.ndarray, f"{where} got {type(x).__name__}"
             dtype = hjb.POLICY_DTYPE if arg == "q" else np.float64
             assert x.dtype == dtype, f"{where} got dtype {x.dtype}"
-            assert not lane_axis or x.ndim == 2, f"{where} got shape {x.shape}"
+            ndim = 1 if arg in PER_LANE else 2
+            assert not lane_axis or x.ndim == ndim, f"{where} got shape {x.shape}"
         calls[name] += 1
         return fn(*a, **kw)
 
@@ -82,7 +86,7 @@ def test_kernels_get_lane_arrays(mode, monkeypatch, tmp_path):
                     monkeypatch.setattr(m, name, wrapper)
 
     cli.run(sc.scenario_from_dict(SCENARIO), mode, tmp_path)
-    unused = {"mfg": {"shvetsov_source"},
+    unused = {"mfg": {"shvetsov_source", "lwr_velocity"},
               "uncontrolled": {"hamiltonian_step", "jump_operator", "mfg_source",
                                "transport_speed", "moving_span", "running_cost"}}[mode]
     assert {name for name, n in calls.items() if n == 0} == unused

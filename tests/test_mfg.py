@@ -94,6 +94,11 @@ class TestSolverOptions:
             SolverOptions(tol_policy=-1e-3)
         with pytest.raises(ValueError):
             SolverOptions(tol_value=-1.0)
+        # a NaN tolerance would never be met
+        with pytest.raises(ValueError, match="tol_policy"):
+            SolverOptions(tol_policy=np.nan)
+        with pytest.raises(ValueError, match="tol_value"):
+            SolverOptions(tol_value=np.nan)
 
 
 class TestInitializePolicies:
@@ -254,6 +259,14 @@ class TestSolve:
         g, tg, tgt, _ = small_problem(m=3, n_steps=1)
         with pytest.raises(ValueError, match="lanes"):
             solve(np.zeros((MAX_LANES + 1, 3)), g, tg, P, C, U, tgt)
+
+    @pytest.mark.parametrize("entry", [solve, initialize_policies])
+    @pytest.mark.parametrize("shape", [(1, 2, 31), (2, 30)], ids=["3-d", "wrong-node-count"])
+    def test_rejects_a_wrong_shape_naming_the_expected_one(self, entry, shape):
+        g, tg, tgt, _ = small_problem()
+        args = (g, tg, P, C, U, tgt) if entry is solve else (g, tg, U, C, P, tgt)
+        with pytest.raises(ValueError, match=r"\(lanes, 31\)"):
+            entry(np.zeros(shape), *args)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_initial_density(self, bad):

@@ -120,15 +120,6 @@ class TestMfgSource:
             src = mfg_source(rho, q, P)
             assert np.abs(src.sum(axis=0)).max() <= 1e-15
 
-    def test_rejects_bad_targets(self):
-        rho = np.zeros((2, 3))
-        with pytest.raises(ValueError):
-            mfg_source(rho, np.full((2, 3), 4), P)
-        with pytest.raises(ValueError):
-            mfg_source(rho, np.zeros((2, 3), dtype=int), P)
-        with pytest.raises(ValueError, match="shape"):
-            mfg_source(rho, np.ones((2, 4), dtype=int), P)
-
 
 def _mfg_source_per_lane(rho, q, p):
     """mfg_source as a loop over donor lanes: the summation-order reference."""
@@ -260,10 +251,6 @@ class TestShvetsovSource:
             tr = rng.uniform(0.5, 2.0, n)
             src = shvetsov_source(rho, tl, tr, P)
             assert np.abs(src.sum(axis=0)).max() <= 1e-15
-
-    def test_rejects_nonpositive_rates(self):
-        with pytest.raises(ValueError):
-            shvetsov_source(np.zeros((2, 3)), [1.0, 0.0], [1.0, 1.0], P)
 
     def test_equilibrates_toward_equal_flux(self):
         # frozen transport: the exchange ODE drives f(rho_1) and f(rho_2) together
@@ -443,6 +430,13 @@ class TestSweepClampFlag:
         assert all(w.startswith("step 0 clamped") for w in warnings)
 
 
+def test_sweep_rejects_a_wrong_node_count_naming_the_expected_shape():
+    g = build_uniform(0.0, 4.0, 5)
+    with pytest.raises(ValueError, match=r"\(lanes, 5\)"):
+        sweep(np.zeros((2, 4)), g, TimeGrid(horizon=1.0, step_count=1),
+              velocity_at=lambda k, r: np.zeros_like(r), source_at=lambda k, r: np.zeros_like(r))
+
+
 def _sink_into_node_6(k, rho):
     src = np.zeros_like(rho)
     src[0, 6] = -0.6  # lane 0 holds nothing at x = 3: each step clamps 0.3 there
@@ -456,7 +450,7 @@ class TestSweepSink:
         (lambda k, r: np.full_like(r, 0.5), _sink_into_node_6, True),
         # two cells a step: the humps leave past the right end
         (lambda k, r: np.full_like(r, 2.0),
-         lambda k, r: shvetsov_source(r, (4.0, 8.0), (8.0, 4.0), P), False),
+         lambda k, r: shvetsov_source(r, np.array([4.0, 8.0]), np.array([8.0, 4.0]), P), False),
     ], ids=["clamps", "exits"])
     def test_sink_gets_every_stored_level_once_in_order(self, velocity_at, source_at, clamps):
         tg = TimeGrid(horizon=3.0, step_count=6)
@@ -564,7 +558,7 @@ def _subnormal_step():
     p = FluxParams(a=1.0, b=1.0, rho_max=1.0)
     g = build_uniform(0.0, 1.0, 2)
     rho = np.full((2, 2), 5e-324)
-    src = shvetsov_source(rho, [1.0, 1.0], [0.25, 0.25], p)
+    src = shvetsov_source(rho, np.ones(2), np.full(2, 0.25), p)
     return rho, g, forward_step(rho, np.zeros((2, 2)), src, g, dt=0.5)
 
 
