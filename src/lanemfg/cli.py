@@ -38,20 +38,33 @@ _fmt = "{:.17g}".format
 ROWS_PER_WRITE = 1024
 
 
-def _write_snapshot(path: Path, t: float, x, rho, values, u, s):
-    """One CSV slice from (n, M) columns rho, V, u and integer S, rows lane-major."""
+def _texts(col, fmt):
+    """fmt of each entry of a numeric row, called once per distinct bit pattern.
+
+    Keyed by bits, not by value: 0.0 and -0.0 compare equal but print as 0 and -0.
+    """
+    keys, inverse = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
+    text = list(map(fmt, keys.view(col.dtype).tolist()))
+    return map(text.__getitem__, inverse.tolist())
+
+
+def _write_snapshot(path: Path, t: float, x_text, rho, values, u, s):
+    """One CSV slice from (n, M) float64 columns rho, V, u and integer S, rows lane-major.
+
+    x_text holds the M node coordinates as formatted text, which every
+    snapshot of a run shares.
+    """
     n, m = rho.shape
     t_text = _fmt(t)
-    x_text = list(map(_fmt, x.tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,x,lane,rho,V,u,S\n")
         for a in range(n):
             lane = str(a + 1)
             for lo in range(0, m, ROWS_PER_WRITE):
                 hi = lo + ROWS_PER_WRITE
-                cols = (map(_fmt, c[a, lo:hi].tolist()) for c in (rho, values, u))
+                cols = (_texts(c[a, lo:hi], _fmt) for c in (rho, values, u))
                 rows = zip(itertools.repeat(t_text), x_text[lo:hi], itertools.repeat(lane), *cols,
-                           map(str, s[a, lo:hi].tolist()))
+                           _texts(s[a, lo:hi], str))
                 fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
@@ -83,25 +96,33 @@ def run(scn: Scenario, mode: str, out_dir) -> dict:
         controls = sc.control_set(scn)
         sol = mfg.solve(rho0, g, tg, scn.flux, scn.cost, controls, sc.target_set(scn),
                         options=scn.solver)
-        # the terminal level reuses the last policy
-        policy_levels = [min(k, tg.step_count - 1) for k in levels]
-        values = sol.value_traj[levels]
-        u = controls.values[sol.u_traj[policy_levels]]
-        s = sol.q_traj[policy_levels] - np.arange(1, scn.lanes + 1)[:, None]
+        lane_labels = np.arange(1, scn.lanes + 1)[:, None]
+
+        def columns(k):
+            # the terminal level reuses the last policy
+            j = min(k, tg.step_count - 1)
+            return sol.value_traj[k], controls.values[sol.u_traj[j]], sol.q_traj[j] - lane_labels
+
         convergence = {"converged": sol.converged, "iterations": sol.iterations,
                        "residual_history": [list(r) for r in sol.residual_history]}
     else:
         sol = baseline.uncontrolled_solve(rho0, g, tg, scn.flux, scn.exchange)
-        values = u = [np.zeros_like(rho0)] * len(levels)
-        s = [np.zeros(rho0.shape, dtype=int)] * len(levels)
+        zeros = np.zeros_like(rho0)
+        blank = (zeros, zeros, np.zeros(rho0.shape, dtype=int))
+
+        def columns(_k):
+            return blank
+
         convergence = {"converged": True, "iterations": 0, "residual_history": []}
 
+    # each level's V, u and S are built as its file is written, and the nodes formatted once
+    x_text = list(map(_fmt, g.nodes.tolist()))
     snapshots, written = [], set()
-    for k, name, v_k, u_k, s_k in zip(levels, _snapshot_names(levels, tg.dt), values, u, s):
+    for k, name in zip(levels, _snapshot_names(levels, tg.dt)):
         t_k = k * tg.dt
         if name not in written:
             written.add(name)
-            _write_snapshot(out / name, t_k, g.nodes, sol.rho_traj[k], v_k, u_k, s_k)
+            _write_snapshot(out / name, t_k, x_text, sol.rho_traj[k], *columns(k))
         per_lane, total = transport.total_mass(sol.rho_traj[k], g)
         snapshots.append({
             "time": t_k,

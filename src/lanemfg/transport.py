@@ -102,11 +102,14 @@ def g_operator(w, feet, g: SpatialGrid, first: int = 0):
     grace = 0.5 * g.dx
 
     exited = (feet < g.x_lo - grace) | (feet > g.x_hi + grace)
-    leaving = np.flatnonzero(exited.any(axis=1)).tolist()
-    # one sum per lane: numpy's pairwise sum groups the terms by the array it is given
+    lane, node = np.divmod(np.flatnonzero(exited), size)
+    lost = w[lane, node] * own[node]
+    # one sum per lane, of its exited masses in node order: numpy's pairwise
+    # sum groups the terms by the array it is given
+    starts = np.searchsorted(lane, np.arange(len(w) + 1)).tolist()
     outflow = 0.0
-    for a in leaving:
-        outflow += float((w[a, exited[a]] * own[exited[a]]).sum())
+    for lo, hi in zip(starts, starts[1:]):
+        outflow += float(lost[lo:hi].sum())
 
     # feet inside the grace zone clamp onto the boundary node via locate
     i, t = locate(feet, g)
@@ -114,9 +117,8 @@ def g_operator(w, feet, g: SpatialGrid, first: int = 0):
     left *= w
     right = t
     right *= w
-    if leaving:
-        # an exited foot deposits +0.0, which leaves the bits of its bin unchanged
-        left[exited] = right[exited] = 0.0
+    # an exited foot deposits +0.0, which leaves the bits of its bin unchanged
+    left[lane, node] = right[lane, node] = 0.0
     # the width ratio, onto an end node and from one; a deposit from an end node
     # onto one has ratio 1.0 (the two end cells have one width), so taking it twice is exact
     last = g.node_count - 1

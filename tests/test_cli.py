@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lanemfg import cli
+from lanemfg import baseline, cli
+from lanemfg import scenario as sc
 from lanemfg.cli import ROWS_PER_WRITE, _snapshot_names, _write_snapshot, main, run
 from lanemfg.grid import build_uniform
 from lanemfg.scenario import scenario_from_dict, write_scenario
@@ -93,6 +94,20 @@ def _whole_text_snapshot(path, t, x, rho, values, u, s):
                map(str, s.ravel().tolist()))
     path.write_text("t,x,lane,rho,V,u,S\n" + "\n".join(map(",".join, rows)) + "\n",
                     encoding="utf-8", newline="\n")
+
+
+def _node_text(g):
+    """The node coordinates as text, as run formats them once for all its snapshots."""
+    return ["{:.17g}".format(x) for x in g.nodes.tolist()]
+
+
+def _bits(*patterns):
+    """float64 values with the given int64 bit patterns."""
+    return np.array(patterns, dtype=np.int64).view(np.float64)
+
+
+# NaNs that differ in payload and sign, each printed as nan
+_NANS = _bits(0x7FF8000000000000, 0x7FF8000000000001, -0x0008000000000000, 0x7FF0000000000001)
 
 
 # Column entries: the edge values plus any float64, NaN and infinities included.
@@ -245,7 +260,7 @@ class TestWriteSnapshot:
         with tempfile.TemporaryDirectory() as tmp:
             ref, out = Path(tmp, "ref.csv"), Path(tmp, "out.csv")
             _row_by_row_snapshot(ref, t, g, rho, values, u_levels, u_idx, q_target)
-            _write_snapshot(out, t, g.nodes, rho, *cols)
+            _write_snapshot(out, t, _node_text(g), rho, *cols)
             assert out.read_bytes() == ref.read_bytes()
 
     # more nodes than one write takes, and not a multiple of it
@@ -261,9 +276,81 @@ class TestWriteSnapshot:
         s = rng.integers(-5, 6, (n, m))
         ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
         _whole_text_snapshot(ref, 0.1234576, g.nodes, rho, values, u, s)
-        _write_snapshot(out, 0.1234576, g.nodes, rho, values, u, s)
+        _write_snapshot(out, 0.1234576, _node_text(g), rho, values, u, s)
         assert out.read_bytes() == ref.read_bytes()
         assert len(out.read_text().splitlines()) == 1 + n * m
+
+
+class TestWriteSnapshotFormatsOnce:
+    """The writer formats each distinct bit pattern of a chunk once: its bytes stay the
+    row-by-row writer's where values repeat, and a repeat is not formatted again."""
+
+    @pytest.mark.parametrize("chunk", ["signed-zeros", "nan-payloads", "one-value", "mixed"])
+    def test_repeats_give_the_row_by_row_bytes(self, tmp_path, chunk):
+        # two lanes of three chunks each, the last one short
+        n, m = 2, 2 * ROWS_PER_WRITE + 37
+        g = build_uniform(-3.0, 50.0, m)
+        rng = np.random.default_rng(7)
+        pick = {
+            "signed-zeros": lambda size: rng.choice([0.0, -0.0], size),
+            "nan-payloads": lambda size: rng.choice(np.append(_NANS, [0.0, -0.0, 1.5]), size),
+            "one-value": lambda size: np.full(size, -0.0 if rng.random() < 0.5 else 6.35),
+            "mixed": lambda size: rng.choice(np.append(_NANS, [0.0, -0.0, np.inf, -np.inf,
+                                                              5e-324, 0.1, 0.1 + 2**-56]), size),
+        }[chunk]
+        rho, values = pick((n, m)), pick((n, m))
+        u_levels = np.array([0.0, -0.0, 0.5, 1.0])
+        u_idx = rng.integers(0, u_levels.size, (n, m))
+        lanes = np.arange(1, n + 1)[:, None]
+        # S repeats a few small integers, as a switch policy does
+        q_target = rng.integers(-1, 3, (n, m)) + lanes
+        ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
+        _row_by_row_snapshot(ref, 0.75, g, rho, values, u_levels, u_idx, q_target)
+        _write_snapshot(out, 0.75, _node_text(g), rho, values, u_levels[u_idx], q_target - lanes)
+        assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+    def test_an_integer_s_of_any_width_gives_the_row_by_row_bytes(self, tmp_path, dtype):
+        # S as the MFG run builds it from its int16 policy: full chunks of even length,
+        # whose entries a fixed 8-byte key would pair up, and a short odd one
+        n, m = 2, 2 * ROWS_PER_WRITE + 37
+        g = build_uniform(0.0, 1.0, m)
+        rng = np.random.default_rng(11)
+        rho = rng.choice([0.0, -0.0, 0.25], (n, m))
+        u_levels = np.array([0.0, 0.5])
+        u_idx = rng.integers(0, u_levels.size, (n, m))
+        lanes = np.arange(1, n + 1)[:, None]
+        q_target = rng.integers(-1, 3, (n, m)) + lanes
+        ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
+        _row_by_row_snapshot(ref, 0.5, g, rho, rho, u_levels, u_idx, q_target)
+        _write_snapshot(out, 0.5, _node_text(g), rho, rho, u_levels[u_idx],
+                        (q_target - lanes).astype(dtype))
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_an_uncontrolled_run_formats_each_distinct_value_once(self, tmp_path, monkeypatch):
+        # two snapshots of a road longer than one write: the zero V and u columns cost one
+        # format each per chunk, rho one per distinct bit pattern, x once for the run
+        scn = scenario_from_dict(small_dict(node_count=ROWS_PER_WRITE + 300, horizon=1.0,
+                                            step_count=4, snapshot_times=[0.0, 1.0]))
+        calls = []
+
+        def counted(v):
+            calls.append(v)
+            return "{:.17g}".format(v)
+
+        monkeypatch.setattr(cli, "_fmt", counted)
+        run(scn, "uncontrolled", tmp_path)
+        g = sc.spatial_grid(scn)
+        sol = baseline.uncontrolled_solve(sc.initial_field(scn, g), g, sc.time_grid(scn),
+                                          scn.flux, scn.exchange)
+        m = g.node_count
+        bound = m
+        for k in (0, 4):
+            bound += 1
+            for lane in sol.rho_traj[k]:
+                for lo in range(0, m, ROWS_PER_WRITE):
+                    bound += np.unique(lane[lo:lo + ROWS_PER_WRITE].view(np.int64)).size + 2
+        assert len(calls) <= bound
 
 
 class TestSnapshotNames:

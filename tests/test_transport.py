@@ -534,6 +534,66 @@ def test_forward_step_matches_the_whole_grid_push(data, n, m, dt, x_lo, width):
     assert (outflow.hex(), clamped.hex()) == (ref_outflow.hex(), ref_clamped.hex())
 
 
+def _assert_matches_whole_grid_step(rho, vel, src, g, dt):
+    out, outflow, clamped = forward_step(rho, vel, src, g, dt)
+    ref_out, ref_outflow, ref_clamped = _whole_grid_step(rho, vel, src, g, dt)
+    np.testing.assert_array_equal(out, ref_out)
+    np.testing.assert_array_equal(np.signbit(out), np.signbit(ref_out))
+    assert (outflow.hex(), clamped.hex()) == (ref_outflow.hex(), ref_clamped.hex())
+    return outflow, clamped
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 5), m=st.integers(4, 40),
+       dt=st.sampled_from([0.01, 0.5]), x_lo=st.sampled_from([0.0, -3.7]))
+def test_forward_step_exits_at_both_ends_match_the_whole_grid_push(data, n, m, dt, x_lo):
+    # the first lane's feet leave at both ends, backward at the left and forward at
+    # the right; the last lane's stay on the road; the others draw either
+    g = build_uniform(x_lo, x_lo + 25.0, m)
+    half = m // 2
+    vel = np.zeros((n, m))
+    for a in range(n):
+        exits = a == 0 or (a < n - 1 and data.draw(st.booleans()))
+        if exits:
+            far = st.floats(0.6, 3.0).map(lambda c: c * (m + 1) * g.dx / dt)
+            vel[a, :half] = -np.array(data.draw(st.lists(far, min_size=half, max_size=half)))
+            vel[a, half:] = data.draw(st.lists(far, min_size=m - half, max_size=m - half))
+        else:
+            # at most 0.4 cells: no foot passes the half-cell grace zone
+            near = st.floats(-0.4, 0.4).map(lambda c: c * g.dx / dt)
+            vel[a] = data.draw(st.lists(near, min_size=m, max_size=m))
+    rho = data.draw(arrays(float, (n, m), elements=st.one_of(st.just(0.0), st.floats(0.0, 2.0))))
+    src = data.draw(arrays(float, (n, m), elements=st.floats(-1.0, 1.0)))
+    outflow, _ = _assert_matches_whole_grid_step(rho, vel, src, g, dt)
+    assert outflow >= 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), m=st.integers(2, 30),
+       dt=st.sampled_from([0.0, 0.01, 0.5]))
+def test_forward_step_without_negatives_matches_the_whole_grid_push(data, n, m, dt):
+    # rho + dt*src has no negative entry: clamped is a zero, and the sign of that zero
+    # counts. Signed zeros in rho and src, and roads of zeros alone, are drawn too
+    g = build_uniform(0.0, 10.0, m)
+    zero = st.sampled_from([0.0, -0.0])
+    rho = data.draw(arrays(float, (n, m), elements=st.one_of(zero, zero, st.floats(0.0, 2.0))))
+    src = data.draw(arrays(float, (n, m), elements=st.one_of(zero, zero, st.floats(0.0, 1.0))))
+    vel = data.draw(arrays(float, (n, m), elements=st.floats(-5.0, 5.0)))
+    _, clamped = _assert_matches_whole_grid_step(rho, vel, src, g, dt)
+    assert clamped == 0.0
+
+
+def test_forward_step_clamped_zero_keeps_its_sign():
+    # nothing negative: the clamped mass is minus a sum of zeros, whose sign
+    # depends on the signs of the zeros summed
+    g = build_uniform(0.0, 1.0, 3)
+    zero_vel = np.zeros((1, 3))
+    for rho in ([[0.0, -0.0, 0.25]], [[-0.0, -0.0, -0.0]], [[0.0, 0.0, 0.0]]):
+        rho = np.array(rho)
+        _assert_matches_whole_grid_step(rho, zero_vel, np.zeros_like(rho), g, 0.5)
+        _assert_matches_whole_grid_step(rho, zero_vel, -np.zeros_like(rho), g, 0.5)
+
+
 def _assert_step_ledger(rho, out, outflow, clamped, g):
     """Mass after = before - outflow + clamped, up to the rounding of the sums on each side.
 
