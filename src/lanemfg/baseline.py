@@ -53,7 +53,7 @@ def uncontrolled_solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams,
     t_left, t_right = np.array(bp.t_left, dtype=float), np.array(bp.t_right, dtype=float)
 
     def velocity_at(_k, rho):
-        return lwr_velocity(rho, p)
+        return 0, lwr_velocity(rho, p)
 
     def source_at(_k, rho):
         return transport.shvetsov_source(rho, t_left, t_right, p)

@@ -94,10 +94,10 @@ class TimeGrid:
     step_count: int
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.step_count < 1:
-            raise ValueError(f"need at least 1 time step, got {self.step_count}")
+        if not (self.horizon > 0 and np.isfinite(self.horizon)):
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        if not (isinstance(self.step_count, (int, np.integer)) and self.step_count >= 1):
+            raise ValueError(f"step_count must be an integer >= 1, got {self.step_count!r}")
 
     @property
     def dt(self) -> float:

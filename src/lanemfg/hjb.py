@@ -80,12 +80,11 @@ class ControlSet:
 
 
 class BackwardResult(NamedTuple):
-    """Values and feedback policies that best respond to the density trajectory rho_traj."""
+    """Values and feedback policies that best respond to a density trajectory."""
 
     values: np.ndarray  # (N+1, n, M)
     u_idx: np.ndarray  # (N, n, M) index into the control levels
     q_target: np.ndarray  # (N, n, M) switch target, 1-based; own lane = stay
-    rho_traj: np.ndarray  # (N+1, n, M)
 
 
 def terminal_slice(g: SpatialGrid, n_lanes: int, tgt: TargetSet) -> np.ndarray:
@@ -336,7 +335,7 @@ def solve_backward(rho_traj, g: SpatialGrid, tg: TimeGrid, controls: ControlSet,
     if sink is None:
         policy = rho_traj[1:].shape
         result = BackwardResult(np.empty(rho_traj.shape), np.empty(policy, POLICY_DTYPE),
-                                np.empty(policy, POLICY_DTYPE), rho_traj)
+                                np.empty(policy, POLICY_DTYPE))
         result.values[n_steps] = v_next
 
         def sink(k, values_k, u_idx_k, q_target_k):

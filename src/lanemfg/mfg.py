@@ -49,8 +49,8 @@ class SolverOptions:
     tol_value: float | None = None
 
     def __post_init__(self):
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be at least 1")
+        if not (isinstance(self.max_outer_iters, (int, np.integer)) and self.max_outer_iters >= 1):
+            raise ValueError("max_outer_iters must be an integer >= 1")
         if not self.tol_policy >= 0:
             raise ValueError("tol_policy must be nonnegative")
         if self.tol_value is not None and not self.tol_value >= 0:
@@ -71,12 +71,10 @@ class MfgSolution(transport.TransportRun):
 
 def _forward(rho0, g, tg, p, controls, u_traj, q_traj, sink=None) -> transport.TransportRun:
     def velocity(k, rho):
-        # outside the span every foot moves less than home_reach and stays home, as at speed 0
+        # outside the span every foot moves less than home_reach, or not at all, as sweep asks
         lo, hi = moving_span(rho, p, tg.dt, g.home_reach)
         speed = transport_speed(rho, p, tg.dt, g.dx, (lo, hi))
-        vel = np.zeros_like(rho)
-        vel[:, lo:hi] = controls.values[u_traj[k][:, lo:hi]] * speed
-        return vel
+        return lo, controls.values[u_traj[k][:, lo:hi]] * speed
 
     def source(k, rho):
         return transport.mfg_source(rho, q_traj[k], p)
@@ -109,7 +107,7 @@ def _overwriter(iterate: hjb.BackwardResult, changes, value_change):
     Before it does, changes[k] counts the level's policy cells that change
     and value_change[k] takes the level's max |dV|.
     """
-    values, u_idx, q_target = iterate[:3]
+    values, u_idx, q_target = iterate
 
     def sink(k, values_k, u_idx_k, q_target_k):
         value_change[k] = np.abs(values[k] - values_k).max()
@@ -173,11 +171,11 @@ def solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams, c: CostParams,
     history: list[tuple[float, float, float]] = []
     converged = False
     for it in range(1, opts.max_outer_iters + 1):
+        answered = rho_mix if it > 1 else np.broadcast_to(rho0, rho_mix.shape)
         _forward(rho0, g, tg, p, controls, current.u_idx, current.q_target,
-                 sink=_averager(rho_mix, current.rho_traj, it, moved, g))
+                 sink=_averager(rho_mix, answered, it, moved, g))
         hjb.solve_backward(rho_mix, g, tg, controls, c, p, tgt,
                            sink=_overwriter(current, changes, value_change))
-        current = current._replace(rho_traj=rho_mix)
         res = residuals(moved, changes, value_change, g, tg)
         history.append(res)
         if res[0] <= opts.tol_policy and res[1] <= tol_value:
@@ -188,8 +186,8 @@ def solve(rho0, g: SpatialGrid, tg: TimeGrid, p: FluxParams, c: CostParams,
         logger.warning("policy iteration did not converge within %d iterations", len(history))
 
     # the last mix goes before the final run: every name that holds it is dropped
-    values, u_idx, q_target = current[:3]
-    del current, rho_mix
+    values, u_idx, q_target = current
+    del current, rho_mix, answered
     final = _forward(rho0, g, tg, p, controls, u_idx, q_target)
     return MfgSolution(**vars(final), value_traj=values, u_traj=u_idx, q_traj=q_target,
                        iterations=len(history), converged=converged, residual_history=history)

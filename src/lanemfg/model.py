@@ -71,6 +71,8 @@ class TargetSet:
     def __post_init__(self):
         if len(self.points) == 0:
             raise ValueError("target set must contain at least one point")
+        if not np.isfinite(self.positions).all():
+            raise ValueError(f"target positions must be finite, got {self.positions}")
 
     @property
     def positions(self) -> np.ndarray:

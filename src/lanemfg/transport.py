@@ -12,22 +12,23 @@ is recorded as outflow. Negative values of rho + dt*src are clamped to
 zero before the push and the clamped mass is recorded; under mfg_source a
 donor loses at most dt*a*rho, so with dt*a <= 1 nothing is clamped.
 
-The push runs once for all lanes, on one window of the road. A foot
-displaced by less than grid.home_reach locates onto its own node with
-offset 0 (the last node: its cell's right end), so it deposits w*1.0
-there and an exact +0.0 on the next node: for finite w the G operator
-leaves its mass w unchanged. The window spans the columns where a foot of
-any lane moves, padded by the largest displacement of any lane plus two
-nodes, so it holds each lane's own window, the one around that lane's
-moving feet, and with it every nonzero deposit. Each lane deposits into
-bins of its own, in the order of its nodes, as its push on the whole road
-does. The feet that the window adds to a lane's own window, or leaves
-out, are still: each puts its w alone on a node that no moving foot of
-the lane reaches, and +0.0s, which change no partial sum, as a bincount's
-partial sums are never -0.0. Nodes outside keep rho + dt*src as clamped,
-which the whole-road push gives bit for bit. Under the uncontrolled
-model's free-flow speed every foot moves and the window is the whole
-road.
+The push runs once for all lanes, on one window of the road. The caller
+gives the velocity on a span of columns, and the feet outside it are
+pushed at speed 0, so each must be still: displaced by less than
+grid.home_reach, or not at all. A foot displaced by less than
+grid.home_reach locates onto its own node with offset 0 (the last node:
+its cell's right end), so it deposits w*1.0 there and an exact +0.0 on
+the next node: for finite w the G operator leaves its mass w unchanged.
+The window is the span padded by its largest displacement plus two nodes,
+so it holds each lane's own window, the one around that lane's moving
+feet, and with it every nonzero deposit. Each lane deposits into bins of
+its own, in the order of its nodes, as its push on the whole road does.
+The feet that the window adds to a lane's own window, or leaves out, are
+still: each puts its w alone on a node that no moving foot of the lane
+reaches, and +0.0s, which change no partial sum, as a bincount's partial
+sums are never -0.0. Nodes outside keep rho + dt*src as clamped, which
+the whole-road push gives bit for bit. On a grid with no home reach the
+window is the whole road.
 """
 
 from __future__ import annotations
@@ -186,34 +187,32 @@ def shvetsov_source(rho, t_left, t_right, p: FluxParams):
     return src
 
 
-def forward_step(rho, vel, src, g: SpatialGrid, dt: float):
+def forward_step(rho, vel, src, g: SpatialGrid, dt: float, lo: int = 0):
     """One explicit step: the G operator applied to rho + dt*src, every lane at once.
 
-    Returns (new densities, outflow, clamped): the mass that left the
-    domain and the mass added by clamping negative values of rho + dt*src
-    to 0 before the push, both summed over lanes. The push runs only on
-    the window of the road where some foot may move (module docstring).
+    vel is the float64 (lanes, w) velocity on the columns lo .. lo+w-1, and
+    every foot outside them is still (module docstring). Returns (new
+    densities, outflow, clamped): the mass that left the domain and the
+    mass added by clamping negative values of rho + dt*src to 0 before the
+    push, both summed over lanes.
     """
     pre = dt * src
     pre += rho
     clamped = float(-(np.minimum(pre, 0.0) * g.cell_widths).sum())
     # by sign, not by the clamped mass: a subnormal negative's mass rounds to 0
     np.maximum(pre, 0.0, out=pre)
-    # |dt*v| is dt*|v| bit for bit
-    size = np.abs(vel)
-    size *= dt
-    moving = np.flatnonzero(~(size < g.home_reach).all(axis=0))
-    if not moving.size:
-        return pre, 0.0, clamped
-    # every deposit of a moving foot lands within `pad` nodes of it (NaN: the whole road)
-    m = pre.shape[1]
-    cells = size.max() / g.dx
-    del size
-    pad = int(cells) + 2 if cells < m else m
-    start, stop = max(0, moving[0] - pad), min(m, moving[-1] + 1 + pad)
-    feet = dt * vel[:, start:stop]
+    # every deposit lands within `pad` nodes of its foot (NaN, no home reach: the whole road)
+    (n, w), m = vel.shape, pre.shape[1]
+    cells = dt * np.abs(vel).max(initial=0.0) / g.dx
+    pad = int(cells) + 2 if cells < m and g.home_reach else m
+    start, stop = max(0, lo - pad), min(m, lo + w + pad)
+    feet = np.zeros((n, stop - start))
+    feet[:, lo - start:lo - start + w] = vel
+    feet *= dt
     feet += g.nodes[start:stop]
     pushed, outflow = g_operator(pre[:, start:stop], feet, g, start)
+    if stop - start == m:
+        return pushed, outflow, clamped
     # the result is made last, above the push's arrays: freed below a live one,
     # their pages stay with the heap for the next step instead of being trimmed
     # at its top and faulted in again
@@ -229,11 +228,12 @@ def total_mass(rho, g: SpatialGrid):
 def sweep(rho0, g: SpatialGrid, tg: TimeGrid, velocity_at, source_at, sink=None) -> TransportRun:
     """March the density forward over the whole horizon.
 
-    velocity_at(k, rho_k) and source_at(k, rho_k) supply the velocity and
-    source for step k -> k+1, each a float64 (lanes, nodes) array. The
-    first step that clamps more than CLAMP_WARN_FRACTION of its total mass
-    (so any mass, when that total is not positive) sets clamp_flagged and
-    logs a warning.
+    For step k -> k+1, source_at(k, rho_k) supplies the float64 (lanes,
+    nodes) source, and velocity_at(k, rho_k) the velocity as (lo, vel): vel
+    is float64 (lanes, w) on the columns lo .. lo+w-1, and every foot
+    outside them is still (module docstring). The first step that clamps
+    more than CLAMP_WARN_FRACTION of its total mass (so any mass, when that
+    total is not positive) sets clamp_flagged and logs a warning.
 
     Without a sink every level is stored in the run's rho_traj. With one,
     sink(k, rho_k) receives levels 0..N in order, each once and as soon as
@@ -254,9 +254,9 @@ def sweep(rho0, g: SpatialGrid, tg: TimeGrid, velocity_at, source_at, sink=None)
     rho = rho0
     sink(0, rho)
     for k in range(n_steps):
-        vel = velocity_at(k, rho)
+        lo, vel = velocity_at(k, rho)
         src = source_at(k, rho)
-        nxt, lost, added = forward_step(rho, vel, src, g, dt)
+        nxt, lost, added = forward_step(rho, vel, src, g, dt, lo)
         outflow[k + 1] = outflow[k] + lost
         clamped[k + 1] = clamped[k] + added
         if added > 0.0 and not flagged:

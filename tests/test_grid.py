@@ -58,6 +58,19 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(horizon=1.0, step_count=0)
 
+    @pytest.mark.parametrize("horizon", [np.inf, np.nan])
+    def test_rejects_a_non_finite_horizon(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            TimeGrid(horizon=horizon, step_count=10)
+
+    @pytest.mark.parametrize("steps", [2.5, 3.0, "3"])
+    def test_rejects_a_step_count_that_is_not_an_integer(self, steps):
+        with pytest.raises(ValueError, match="step_count"):
+            TimeGrid(horizon=1.0, step_count=steps)
+
+    def test_takes_a_numpy_integer_step_count(self):
+        assert TimeGrid(horizon=1.0, step_count=np.int64(4)).dt == 0.25
+
 
 def interpolate(values, x, g):
     """P1 values at the points x: p1_at on the cells locate places them in."""

@@ -11,19 +11,25 @@ from lanemfg.hjb import (MAX_LANES, POLICY_DTYPE, BackwardResult, ControlSet,
                          qvi_backward_step, solve_backward)
 from lanemfg.mfg import (SolverOptions, _averager, _forward, _overwriter, initialize_policies,
                          peak_bytes, residuals, solve)
-from lanemfg.model import CostParams, FluxParams, TargetSet
+from lanemfg.model import CostParams, FluxParams, TargetSet, moving_span
 
 P = FluxParams(a=3.0, b=1.0, rho_max=1.0)
 C = CostParams(kappa=1.0, epsilon=1e-5)
 U = ControlSet(tuple(round(0.1 * i, 1) for i in range(11)))
 
 
-def _whole_array_residuals(prev, nxt, g, tg):
-    """The residuals between two iterates in fresh arrays, each by one whole-array
-    formula: the reference for the level-by-level residuals."""
+def _frozen(rho0, tg):
+    """rho0 at every level: the mix that initialize_policies answers."""
+    return np.broadcast_to(rho0, (tg.step_count + 1,) + rho0.shape)
+
+
+def _whole_array_residuals(prev, nxt, prev_mix, mix, g, tg):
+    """The residuals between two iterates, which answer prev_mix and mix, in fresh
+    arrays, each by one whole-array formula: the reference for the level-by-level
+    residuals."""
     changed = (prev.u_idx != nxt.u_idx) | (prev.q_target != nxt.q_target)
     value_change = np.abs(prev.values - nxt.values).max()
-    density_change = (np.abs(prev.rho_traj - nxt.rho_traj) @ g.cell_widths).sum() * tg.dt
+    density_change = (np.abs(prev_mix - mix) @ g.cell_widths).sum() * tg.dt
     return float(changed.mean()), float(value_change), float(density_change)
 
 
@@ -35,16 +41,17 @@ def _mixed_out_of_place(rho0, g, tg, tgt, opts):
     """
     tol_value = opts.tol_value if opts.tol_value is not None else 1e-6 * g.width
     current = initialize_policies(rho0, g, tg, U, C, P, tgt)
+    answered = _frozen(rho0, tg)
     history = []
     for it in range(1, opts.max_outer_iters + 1):
         run = _forward(rho0, g, tg, P, U, current.u_idx, current.q_target)
         if it == 1:
             rho_mix = run.rho_traj
         else:
-            rho_mix = current.rho_traj + (run.rho_traj - current.rho_traj) / it
+            rho_mix = answered + (run.rho_traj - answered) / it
         nxt = solve_backward(rho_mix, g, tg, U, C, P, tgt)
-        history.append(_whole_array_residuals(current, nxt, g, tg))
-        current = nxt
+        history.append(_whole_array_residuals(current, nxt, answered, rho_mix, g, tg))
+        current, answered = nxt, rho_mix
         if history[-1][0] <= opts.tol_policy and history[-1][1] <= tol_value:
             break
     return current, history
@@ -90,6 +97,10 @@ class TestSolverOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverOptions(max_outer_iters=0)
+        # a fractional limit failed only after the initial backward solve
+        for limit in (2.5, 3.0):
+            with pytest.raises(ValueError, match="max_outer_iters"):
+                SolverOptions(max_outer_iters=limit)
         with pytest.raises(ValueError):
             SolverOptions(tol_policy=-1e-3)
         with pytest.raises(ValueError):
@@ -108,8 +119,10 @@ class TestInitializePolicies:
         assert back.values.shape == (16, 2, 31)
         assert back.u_idx.shape == (15, 2, 31)
         assert back.q_target.min() >= 1 and back.q_target.max() <= 2
-        # the density the policies answer: rho0 at every level
-        np.testing.assert_array_equal(back.rho_traj, np.broadcast_to(rho0, (16, 2, 31)))
+        # the policies answer rho0 at every level
+        fresh = solve_backward(_frozen(rho0, tg), g, tg, U, C, P, tgt)
+        for got, want in zip(back, fresh):
+            assert got.tobytes() == want.tobytes()
 
     def test_empty_road_goes_full_speed_no_switch(self):
         g, tg, tgt, _ = small_problem()
@@ -142,8 +155,7 @@ class TestOverwriter:
             # any values and policies, on the terminal slice every iterate ends in
             old = BackwardResult(rng.normal(0.0, 10.0, rho.shape),
                                  rng.integers(0, 11, fresh.u_idx.shape).astype(POLICY_DTYPE),
-                                 rng.integers(1, n + 1, fresh.u_idx.shape).astype(POLICY_DTYPE),
-                                 rho)
+                                 rng.integers(1, n + 1, fresh.u_idx.shape).astype(POLICY_DTYPE))
             old.values[-1] = fresh.values[-1]
         before = old.values.copy(), old.u_idx.copy(), old.q_target.copy()
         changes, value_change = _overwritten(old, rho, g, tg, self.TGT)
@@ -160,7 +172,8 @@ class TestResiduals:
     def test_identical_iterates(self):
         g, tg, tgt, rho0 = small_problem()
         it = initialize_policies(rho0, g, tg, U, C, P, tgt)
-        mix, moved = _mixed(it.rho_traj, it.rho_traj, 1, g)
+        frozen = _frozen(rho0, tg)
+        mix, moved = _mixed(frozen, frozen, 1, g)
         changes, value_change = _overwritten(it, mix, g, tg, tgt)
         assert residuals(moved, changes, value_change, g, tg) == (0.0, 0.0, 0.0)
 
@@ -168,7 +181,7 @@ class TestResiduals:
         g, tg, tgt, rho0 = small_problem()
         a = initialize_policies(rho0, g, tg, U, C, P, tgt)
         a.u_idx[3, 1, 17] = 0 if a.u_idx[3, 1, 17] != 0 else 1
-        mix, moved = _mixed(a.rho_traj, a.rho_traj, 1, g)
+        mix, moved = _mixed(_frozen(rho0, tg), _frozen(rho0, tg), 1, g)
         pol, val, den = residuals(moved, *_overwritten(a, mix, g, tg, tgt), g, tg)
         assert pol == pytest.approx(1.0 / a.u_idx.size)
         assert val == 0.0 and den == 0.0
@@ -177,7 +190,7 @@ class TestResiduals:
         g, tg, tgt, rho0 = small_problem()
         a = initialize_policies(rho0, g, tg, U, C, P, tgt)
         a.values[:-1] += 2.5  # level N is the terminal slice in every iterate
-        mix, moved = _mixed(a.rho_traj, a.rho_traj, 1, g)
+        mix, moved = _mixed(_frozen(rho0, tg), _frozen(rho0, tg), 1, g)
         pol, val, den = residuals(moved, *_overwritten(a, mix, g, tg, tgt), g, tg)
         assert pol == 0.0
         assert val == pytest.approx(2.5)
@@ -193,12 +206,37 @@ class TestResiduals:
     def _check_density_change(it):
         g, tg, tgt, rho0 = small_problem(n_lanes=3)
         a = initialize_policies(rho0, g, tg, U, C, P, tgt)
+        frozen = _frozen(rho0, tg)
         run = _forward(rho0, g, tg, P, U, a.u_idx, a.q_target)
-        ref = run.rho_traj if it == 1 else a.rho_traj + (run.rho_traj - a.rho_traj) / it
-        want = _whole_array_residuals(a, solve_backward(ref, g, tg, U, C, P, tgt), g, tg)
-        mix, moved = _mixed(a.rho_traj, run.rho_traj, it, g)
+        ref = run.rho_traj if it == 1 else frozen + (run.rho_traj - frozen) / it
+        back = solve_backward(ref, g, tg, U, C, P, tgt)
+        want = _whole_array_residuals(a, back, frozen, ref, g, tg)
+        mix, moved = _mixed(frozen, run.rho_traj, it, g)
         assert mix.tobytes() == ref.tobytes()
         assert residuals(moved, *_overwritten(a, mix, g, tg, tgt), g, tg) == want
+
+
+def test_forward_velocity_is_given_on_the_moving_span_alone(monkeypatch):
+    # the push gets moving_span's columns and no velocity zero-filled over the road
+    g, tg, tgt, rho0 = small_problem()
+    back = initialize_policies(rho0, g, tg, U, C, P, tgt)
+    widths = []
+    sweep = transport.sweep
+
+    def checked_sweep(rho0, g, tg, velocity_at, source_at, sink=None):
+        def velocity(k, rho):
+            lo, vel = velocity_at(k, rho)
+            assert (lo, lo + vel.shape[1]) == moving_span(rho, P, tg.dt, g.home_reach)
+            assert vel.shape[0] == rho.shape[0]
+            widths.append(vel.shape[1])
+            return lo, vel
+
+        return sweep(rho0, g, tg, velocity, source_at, sink)
+
+    monkeypatch.setattr(transport, "sweep", checked_sweep)
+    _forward(rho0, g, tg, P, U, back.u_idx, back.q_target)
+    assert len(widths) == tg.step_count
+    assert 0 < min(widths) and max(widths) < g.node_count
 
 
 class TestArgminShiftInvariance:

@@ -255,3 +255,9 @@ class TestTerminalValue:
     def test_empty_target_rejected(self):
         with pytest.raises(ValueError):
             TargetSet(points=())
+
+    @pytest.mark.parametrize("position", [np.nan, np.inf, -np.inf])
+    def test_non_finite_position_rejected(self, position):
+        # a NaN position would make every terminal value NaN
+        with pytest.raises(ValueError, match="finite"):
+            TargetSet(points=((1.0, 1), (position, 2)))

@@ -259,7 +259,7 @@ class TestShvetsovSource:
         rho0 = np.array([[0.25, 0.25], [0.0, 0.0]])
         run = sweep(
             rho0, g, tg,
-            velocity_at=lambda k, r: np.zeros_like(r),
+            velocity_at=lambda k, r: (0, np.zeros_like(r)),
             source_at=lambda k, r: shvetsov_source(r, np.ones(2), np.ones(2), P),
         )
         final = run.rho_traj[-1]
@@ -293,7 +293,7 @@ class TestShvetsovSource:
         errors = []
         for steps in (10, 20, 40, 80):
             run = sweep(rho0, g, TimeGrid(horizon=1.0, step_count=steps),
-                        velocity_at=lambda k, r: np.zeros_like(r),
+                        velocity_at=lambda k, r: (0, np.zeros_like(r)),
                         source_at=lambda k, r: shvetsov_source(r, tl, tr, P))
             assert run.rho_traj.max() < 0.25
             errors.append(np.abs(run.rho_traj[-1] - exact).max())
@@ -331,7 +331,7 @@ class TestForwardStep:
         rho0 = np.stack([bump(self.G.nodes), bump(self.G.nodes)])
         run = sweep(
             rho0, self.G, tg,
-            velocity_at=lambda k, r: flux_eval(r, P),
+            velocity_at=lambda k, r: (0, flux_eval(r, P)),
             source_at=lambda k, r: np.zeros_like(r),
         )
         m0 = total_mass(rho0, self.G)[1]
@@ -389,7 +389,7 @@ class TestForwardStep:
             g = build_uniform(0.0, 10.0, m)
             tg = TimeGrid(horizon=2.0, step_count=4 * (m - 1) // 10)
             run = sweep(np.exp(-(g.nodes - 3.0) ** 2)[None, :], g, tg,
-                        velocity_at=lambda k, r: np.full_like(r, 0.7),
+                        velocity_at=lambda k, r: (0, np.full_like(r, 0.7)),
                         source_at=lambda k, r: np.zeros_like(r))
             errors.append(np.abs(run.rho_traj[-1, 0] - np.exp(-(g.nodes - 4.4) ** 2)).max())
         assert np.all(np.log2(np.divide(errors[:-1], errors[1:])) >= 0.9), errors
@@ -422,7 +422,7 @@ class TestSweepClampFlag:
         tg = TimeGrid(horizon=0.5 * steps, step_count=steps)
         with caplog.at_level(logging.WARNING, logger="lanemfg.transport"):
             run = sweep(np.array([rho0]), self.G, tg,
-                        velocity_at=lambda k, r: np.zeros_like(r), source_at=lambda k, r: src)
+                        velocity_at=lambda k, r: (0, np.zeros_like(r)), source_at=lambda k, r: src)
         assert np.all(np.diff(run.clamped_cum) > 0.0)
         assert run.clamp_flagged is flagged
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
@@ -434,7 +434,8 @@ def test_sweep_rejects_a_wrong_node_count_naming_the_expected_shape():
     g = build_uniform(0.0, 4.0, 5)
     with pytest.raises(ValueError, match=r"\(lanes, 5\)"):
         sweep(np.zeros((2, 4)), g, TimeGrid(horizon=1.0, step_count=1),
-              velocity_at=lambda k, r: np.zeros_like(r), source_at=lambda k, r: np.zeros_like(r))
+              velocity_at=lambda k, r: (0, np.zeros_like(r)),
+              source_at=lambda k, r: np.zeros_like(r))
 
 
 def _sink_into_node_6(k, rho):
@@ -447,9 +448,9 @@ class TestSweepSink:
     G = build_uniform(0.0, 4.0, 9)  # dx 0.5
 
     @pytest.mark.parametrize("velocity_at, source_at, clamps", [
-        (lambda k, r: np.full_like(r, 0.5), _sink_into_node_6, True),
+        (lambda k, r: (0, np.full_like(r, 0.5)), _sink_into_node_6, True),
         # two cells a step: the humps leave past the right end
-        (lambda k, r: np.full_like(r, 2.0),
+        (lambda k, r: (0, np.full_like(r, 2.0)),
          lambda k, r: shvetsov_source(r, np.array([4.0, 8.0]), np.array([8.0, 4.0]), P), False),
     ], ids=["clamps", "exits"])
     def test_sink_gets_every_stored_level_once_in_order(self, velocity_at, source_at, clamps):
@@ -527,15 +528,58 @@ def test_forward_step_matches_the_whole_grid_push(data, n, m, dt, x_lo, width):
     vel = disp / dt if dt else disp
     rho = data.draw(arrays(float, (n, m), elements=st.one_of(st.just(0.0), st.floats(0.0, 2.0))))
     src = data.draw(arrays(float, (n, m), elements=st.floats(-1.0, 1.0)))
-    out, outflow, clamped = forward_step(rho, vel, src, g, dt)
+    # the span a caller gives: the columns where some lane's foot moves
+    moving = np.flatnonzero((np.abs(dt * vel) >= reach).any(axis=0))
+    lo, hi = (moving[0], moving[-1] + 1) if moving.size else (0, 0)
+    out, outflow, clamped = forward_step(rho, vel[:, lo:hi], src, g, dt, lo)
     ref_out, ref_outflow, ref_clamped = _whole_grid_step(rho, vel, src, g, dt)
     np.testing.assert_array_equal(out, ref_out)
     assert out.flags.c_contiguous
     assert (outflow.hex(), clamped.hex()) == (ref_outflow.hex(), ref_clamped.hex())
 
 
-def _assert_matches_whole_grid_step(rho, vel, src, g, dt):
-    out, outflow, clamped = forward_step(rho, vel, src, g, dt)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5), m=st.integers(2, 40),
+       dt=st.sampled_from([0.0, 0.01, 0.5]), x_lo=st.sampled_from([0.0, -3.7, 1e7]))
+def test_forward_step_on_a_span_matches_the_whole_grid_push(data, n, m, dt, x_lo):
+    # the caller's span holds the moving columns a..b-1 and maybe still columns beside
+    # them, may touch either road end, and is empty when nothing moves; the push sees
+    # only the span, the reference the velocity zero-filled outside it
+    g = build_uniform(x_lo, x_lo + 25.0, m)
+    a = data.draw(st.integers(0, m))
+    b = data.draw(st.integers(a, m))
+    if data.draw(st.booleans()):
+        a = b  # nothing moves
+    lo = data.draw(st.sampled_from([0, a]) | st.integers(0, a))
+    hi = data.draw(st.sampled_from([b, m]) | st.integers(b, m))
+    # feet short of the still reach, forward and backward (at x_lo = 1e7 it is 0)
+    short = np.nextafter(g.home_reach, 0.0)
+    still = st.sampled_from([0.0, short, -short])
+    moves = st.floats(-(m + 2.0), m + 2.0).map(lambda c: c * g.dx) | still
+    disp = np.zeros((n, m))
+    disp[:, lo:hi] = data.draw(arrays(float, (n, hi - lo), elements=still))
+    disp[:, a:b] = data.draw(arrays(float, (n, b - a), elements=moves))
+    vel = disp / dt if dt else disp
+    rho = data.draw(arrays(float, (n, m), elements=st.one_of(st.just(0.0), st.floats(0.0, 2.0))))
+    src = data.draw(arrays(float, (n, m), elements=st.floats(-1.0, 1.0)))
+    _assert_matches_whole_grid_step(rho, vel, src, g, dt, (lo, hi))
+
+
+def test_forward_step_pushes_the_whole_road_when_no_foot_is_proven_home():
+    # far from 0 a foot at speed 0 can locate off its node: here node 9's foot splits
+    # its mass with node 10, and node 20's lands in the cell to its left
+    g = build_uniform(1e7, 1e7 + 25.0, 30)
+    assert g.home_reach == 0.0
+    rho, zero = np.ones((1, 30)), np.zeros((1, 30))
+    for lo in range(31):
+        _assert_matches_whole_grid_step(rho, zero, zero, g, 0.0, (lo, lo))
+
+
+def _assert_matches_whole_grid_step(rho, vel, src, g, dt, span=None):
+    """forward_step given vel on span = (lo, hi), the whole road by default, against
+    _whole_grid_step given all of vel; returns (outflow, clamped)."""
+    lo, hi = span or (0, vel.shape[1])
+    out, outflow, clamped = forward_step(rho, vel[:, lo:hi], src, g, dt, lo)
     ref_out, ref_outflow, ref_clamped = _whole_grid_step(rho, vel, src, g, dt)
     np.testing.assert_array_equal(out, ref_out)
     np.testing.assert_array_equal(np.signbit(out), np.signbit(ref_out))
