@@ -9,6 +9,7 @@ exercise.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -16,13 +17,15 @@ import numpy as np
 
 from . import transport
 from .grid import SpatialGrid, TimeGrid, lane_density
-from .model import FluxParams, flux_eval
+from .model import FluxParams, check_fields, flux_eval
 
 __all__ = ["BaselineParams", "lwr_velocity", "uncontrolled_solve"]
 
 _RHO_TINY = 1e-12
 # the least exchange time: a subnormal one overflows the rate f/t of the exchange
 MIN_EXCHANGE_TIME = sys.float_info.min
+_TIMES = (f"finite times of at least {MIN_EXCHANGE_TIME}",
+          lambda ts: all(math.isfinite(t) and t >= MIN_EXCHANGE_TIME for t in ts))
 
 
 @dataclass(frozen=True)
@@ -33,9 +36,8 @@ class BaselineParams:
     t_right: tuple[float, ...]
 
     def __post_init__(self):
-        for name, rates in (("t_left", self.t_left), ("t_right", self.t_right)):
-            if any(not (r >= MIN_EXCHANGE_TIME and np.isfinite(r)) for r in rates):
-                raise ValueError(f"{name} rates must be finite and at least {MIN_EXCHANGE_TIME}")
+        check_fields("exchange", ("t_left", self.t_left, *_TIMES),
+                     ("t_right", self.t_right, *_TIMES))
 
 
 def lwr_velocity(rho, p: FluxParams):

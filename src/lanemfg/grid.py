@@ -12,15 +12,19 @@ scheme and the monotonicity of the value-function scheme rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from .model import POSITIVE, at_least, check_fields
+
 __all__ = [
     "SpatialGrid",
     "TimeGrid",
     "build_uniform",
+    "check_uniform",
     "lane_density",
     "locate",
     "p1_at",
@@ -73,12 +77,21 @@ class SpatialGrid:
         return max(0.0, 0.9 * (_SNAP_TOL - rounding)) * self.dx
 
 
+def check_uniform(domain: tuple[float, float], node_count: int) -> None:
+    """Raise InputError unless build_uniform(*domain, node_count) makes a grid; allocates nothing."""
+    check_fields("spatial_grid",
+                 ("domain", domain, "a non-empty interval [x_lo, x_hi]", lambda d: d[0] < d[1]),
+                 ("node_count", node_count, *at_least(2)))
+    # project_initial squares a Simpson spacing, dx/16, which must stay a normal float
+    check_fields("spatial_grid", (
+        "domain, node_count", (*domain, node_count),
+        "a finite width and a cell size of at least 16 * 2**-511 (2.4e-153)",
+        lambda d: math.isfinite(d[1] - d[0]) and (d[1] - d[0]) / (16 * 2.0**-511) >= d[2] - 1))
+
+
 def build_uniform(x_lo: float, x_hi: float, m: int) -> SpatialGrid:
     """Uniform grid of m nodes on [x_lo, x_hi] with node-centered cells."""
-    if not (x_lo < x_hi and np.isfinite(x_hi - x_lo)):
-        raise ValueError(f"empty or non-finite spatial domain: [{x_lo}, {x_hi}]")
-    if m < 2:
-        raise ValueError(f"need at least 2 nodes, got {m}")
+    check_uniform((x_lo, x_hi), m)
     nodes = np.linspace(x_lo, x_hi, m)
     dx = (x_hi - x_lo) / (m - 1)
     widths = np.full(m, dx)
@@ -94,10 +107,8 @@ class TimeGrid:
     step_count: int
 
     def __post_init__(self):
-        if not (self.horizon > 0 and np.isfinite(self.horizon)):
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        if not (isinstance(self.step_count, (int, np.integer)) and self.step_count >= 1):
-            raise ValueError(f"step_count must be an integer >= 1, got {self.step_count!r}")
+        check_fields("time_grid", ("horizon", self.horizon, *POSITIVE),
+                     ("step_count", self.step_count, *at_least(1)))
 
     @property
     def dt(self) -> float:

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import SpatialGrid, TimeGrid, locate, p1_at
-from .model import (CostParams, FluxParams, TargetSet, moving_span, running_cost,
+from .model import (CostParams, FluxParams, TargetSet, check_fields, moving_span, running_cost,
                     switching_cost, terminal_value, transport_speed)
 
 __all__ = [
@@ -66,13 +66,11 @@ class ControlSet:
     levels: tuple[float, ...]
 
     def __post_init__(self):
-        lv = self.levels
-        if len(lv) < 2 or lv[0] != 0.0 or lv[-1] != 1.0:
-            raise ValueError("control levels must start at 0 and end at 1")
-        if any(not b > a for a, b in zip(lv, lv[1:])):
-            raise ValueError("control levels must be strictly increasing")
-        if len(lv) > MAX_CONTROL_LEVELS:
-            raise ValueError(f"at most {MAX_CONTROL_LEVELS} control levels, got {len(lv)}")
+        check_fields("control_set", (
+            "levels", self.levels,
+            f"2 to {MAX_CONTROL_LEVELS} control levels, strictly increasing from 0 to 1",
+            lambda lv: 2 <= len(lv) <= MAX_CONTROL_LEVELS and lv[0] == 0 and lv[-1] == 1
+            and all(b > a for a, b in zip(lv, lv[1:]))))
 
     @property
     def values(self) -> np.ndarray:

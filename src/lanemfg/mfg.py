@@ -32,7 +32,8 @@ import numpy as np
 
 from . import hjb, transport
 from .grid import SpatialGrid, TimeGrid, lane_density
-from .model import CostParams, FluxParams, TargetSet, moving_span, transport_speed
+from .model import (NONNEGATIVE, CostParams, FluxParams, TargetSet, at_least, check_fields,
+                    moving_span, transport_speed)
 
 __all__ = ["SolverOptions", "MfgSolution", "initialize_policies", "residuals", "solve",
            "peak_bytes"]
@@ -49,12 +50,10 @@ class SolverOptions:
     tol_value: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.max_outer_iters, (int, np.integer)) and self.max_outer_iters >= 1):
-            raise ValueError("max_outer_iters must be an integer >= 1")
-        if not self.tol_policy >= 0:
-            raise ValueError("tol_policy must be nonnegative")
-        if self.tol_value is not None and not self.tol_value >= 0:
-            raise ValueError("tol_value must be nonnegative")
+        check_fields("solver", ("max_outer_iters", self.max_outer_iters, *at_least(1)),
+                     ("tol_policy", self.tol_policy, *NONNEGATIVE),
+                     ("tol_value", self.tol_value, f"None or {NONNEGATIVE[0]}",
+                      lambda x: x is None or NONNEGATIVE[1](x)))
 
 
 @dataclass(kw_only=True)

@@ -7,15 +7,22 @@ a foot, the lane-switching cost, the congestion running cost and the
 distance-to-target terminal cost. transport_speed and moving_span take
 float64 (lanes, nodes) arrays; the other evaluators accept scalars or
 arrays and broadcast.
+
+Each parameter object of the solver checks every field when it is made,
+through check_fields: one InputError lists each field that fails its rule.
 """
 
 from __future__ import annotations
 
+import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "InputError",
+    "check_fields",
     "FluxParams",
     "CostParams",
     "TargetSet",
@@ -30,6 +37,49 @@ __all__ = [
 ]
 
 
+class InputError(ValueError):
+    """Invalid input; `problems` lists every violation, each naming its field."""
+
+    title = "invalid input"
+
+    def __init__(self, problems: list[str]):
+        self.problems = list(problems)
+        super().__init__(f"{self.title}:\n" + "\n".join(f"  - {p}" for p in self.problems))
+
+
+def _integer(n) -> bool:
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
+# (what, test) rules on one value
+POSITIVE = ("a finite positive number", lambda x: math.isfinite(x) and x > 0)
+NONNEGATIVE = ("a finite number >= 0", lambda x: math.isfinite(x) and x >= 0)
+
+
+def at_least(least: int):
+    return (f"an integer >= {least}", lambda n: _integer(n) and n >= least)
+
+
+def check_fields(owner: str, *rules) -> None:
+    """Raise one InputError naming each failed rule '<owner>.<field>: expected <what>, got <value>'.
+
+    Each rule is (field, value, what, test), and a field may name several, as
+    "domain, node_count". A test that raises TypeError, ValueError or
+    OverflowError fails.
+    """
+    problems = []
+    for name, value, what, test in rules:
+        try:
+            passed = bool(test(value))
+        except (TypeError, ValueError, OverflowError):
+            passed = False
+        if not passed:
+            problems.append(", ".join(f"{owner}.{n}" for n in name.split(", "))
+                            + f": expected {what}, got {reprlib.repr(value)}")
+    if problems:
+        raise InputError(problems)
+
+
 @dataclass(frozen=True)
 class FluxParams:
     """Coefficients of the triangular flux f(rho) = min(a*rho, b*(rho_max - rho))."""
@@ -39,12 +89,8 @@ class FluxParams:
     rho_max: float
 
     def __post_init__(self):
-        if not (self.a > 0 and np.isfinite(self.a)):
-            raise ValueError(f"flux slope a must be positive, got {self.a}")
-        if not (self.b > 0 and np.isfinite(self.b)):
-            raise ValueError(f"flux slope b must be positive, got {self.b}")
-        if not (self.rho_max > 0 and np.isfinite(self.rho_max)):
-            raise ValueError(f"jam density rho_max must be positive, got {self.rho_max}")
+        check_fields("flux", ("a", self.a, *POSITIVE), ("b", self.b, *POSITIVE),
+                     ("rho_max", self.rho_max, *POSITIVE))
 
 
 @dataclass(frozen=True)
@@ -56,23 +102,20 @@ class CostParams:
 
     def __post_init__(self):
         # kappa = inf is a valid sentinel that disables switching entirely
-        if not self.kappa > 0:
-            raise ValueError(f"switching cost kappa must be strictly positive, got {self.kappa}")
-        if not (self.epsilon > 0 and np.isfinite(self.epsilon)):
-            raise ValueError(f"running-cost floor epsilon must be positive, got {self.epsilon}")
+        check_fields("cost", ("kappa", self.kappa, "a positive number", lambda k: k > 0),
+                     ("epsilon", self.epsilon, *POSITIVE))
 
 
 @dataclass(frozen=True)
 class TargetSet:
-    """Destination set: (position, lane) pairs. Distances use position only."""
+    """Destination set: (position, lane) pairs, lanes 1-based. Distances use position only."""
 
     points: tuple[tuple[float, int], ...]
 
     def __post_init__(self):
-        if len(self.points) == 0:
-            raise ValueError("target set must contain at least one point")
-        if not np.isfinite(self.positions).all():
-            raise ValueError(f"target positions must be finite, got {self.positions}")
+        check_fields("target_set", (
+            "points", self.points, "a non-empty list of (finite position, lane >= 1) pairs",
+            lambda pts: pts and all(math.isfinite(x) and _integer(i) and i >= 1 for x, i in pts)))
 
     @property
     def positions(self) -> np.ndarray:

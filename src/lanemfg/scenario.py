@@ -2,8 +2,10 @@
 
 A scenario is one JSON object described by the field table `FIELDS`:
 each entry gives a dotted key path, a coercer and a default (or
-REQUIRED). Coercers record problems instead of raising, one pass then
-checks the rules that span fields, and validation reports every
+REQUIRED). Coercers check only the JSON format and record problems
+instead of raising. A rule on one value is checked by the object that
+holds it, which the schema builds from the coerced fields; one pass then
+checks the rules that span objects, and validation reports every
 violation, not just the first. Unknown keys are rejected, and a key whose
 value is null counts as absent. The preset names `paper-sec6` and
 `paper-sec6-coarse` expand to the built-in 3-lane experiment at full and
@@ -13,6 +15,7 @@ reduced resolution.
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 import math
 import os
@@ -22,11 +25,11 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .baseline import MIN_EXCHANGE_TIME, BaselineParams
-from .grid import SpatialGrid, TimeGrid, build_uniform, project_initial
+from .baseline import BaselineParams
+from .grid import SpatialGrid, TimeGrid, build_uniform, check_uniform, project_initial
 from .hjb import MAX_LANES, ControlSet
 from .mfg import SolverOptions, peak_bytes
-from .model import CostParams, FluxParams, TargetSet, max_flux
+from .model import CostParams, FluxParams, InputError, TargetSet, max_flux
 
 __all__ = [
     "ScenarioError",
@@ -49,12 +52,10 @@ __all__ = [
 DENSITY_PRESETS = ("paper-sec6",)
 
 
-class ScenarioError(ValueError):
+class ScenarioError(InputError):
     """Invalid scenario; carries the full list of violations."""
 
-    def __init__(self, problems: list[str]):
-        self.problems = list(problems)
-        super().__init__("invalid scenario:\n" + "\n".join(f"  - {p}" for p in self.problems))
+    title = "invalid scenario"
 
 
 @dataclass(frozen=True)
@@ -107,10 +108,6 @@ def _num(what: str = "a finite number", test=None, integer: bool = False) -> Coe
     return coerce
 
 
-def _count(least: int) -> Coercer:
-    return _num(f"an integer >= {least}", lambda n: n >= least, integer=True)
-
-
 def _choice(options) -> Coercer:
     def coerce(v, path, problems):
         if isinstance(v, str) and v in options:
@@ -141,15 +138,14 @@ def _seq(what: str, each, least: int = 0) -> Coercer:
 
 
 _real = _num()
-_positive = _num("a finite positive number", lambda x: x > 0)
-_normal = _num(f"a finite number >= {MIN_EXCHANGE_TIME}", lambda x: x >= MIN_EXCHANGE_TIME)
+_int = _num("an integer", integer=True)
 _nonnegative = _num("a finite nonnegative number", lambda x: x >= 0)
 
 
 class Field(NamedTuple):
     """One scenario key: a dotted path ("a.b" is key b of object a), its coercer and default.
 
-    A callable default is computed from the other fields once they are valid.
+    A callable default reads lanes and horizon, and is _BAD where either is.
     """
 
     key: str
@@ -161,17 +157,17 @@ FIELDS = (
     Field("lanes", _num(f"an integer in 1..{MAX_LANES}", lambda n: 1 <= n <= MAX_LANES,
                         integer=True)),
     Field("domain", _seq("[x_lo, x_hi]", (_real, _real))),
-    Field("horizon", _positive),
-    Field("node_count", _count(2)),
-    Field("step_count", _count(1)),
-    Field("flux.a", _positive),
-    Field("flux.b", _positive),
-    Field("flux.rho_max", _positive),
-    Field("cost.kappa", _positive),
-    Field("cost.epsilon", _positive),
-    Field("control_levels", _seq("a list of at least two numbers", _real, least=2)),
-    Field("target", _seq("a non-empty list of [position, lane] pairs",
-                         _seq("[position, lane]", (_real, _count(1))), least=1)),
+    Field("horizon", _real),
+    Field("node_count", _int),
+    Field("step_count", _int),
+    Field("flux.a", _real),
+    Field("flux.b", _real),
+    Field("flux.rho_max", _real),
+    Field("cost.kappa", _real),
+    Field("cost.epsilon", _real),
+    Field("control_levels", _seq("a list of numbers", _real)),
+    Field("target", _seq("a list of [position, lane] pairs",
+                         _seq("[position, lane]", (_real, _int)))),
     Field("initial_density.preset", _choice(DENSITY_PRESETS), None),
     Field("initial_density.samples", _seq(
         "one sample table per lane",
@@ -182,13 +178,13 @@ FIELDS = (
     Field("drift", _choice(("optimal-control",)), "optimal-control"),
     Field("solver.damping", _num("a finite number in (0, 1]", lambda x: 0 < x <= 1), None),
     Field("solver.mixing", _choice(("harmonic",)), None),
-    Field("solver.max_outer_iters", _count(1), SolverOptions.max_outer_iters),
-    Field("solver.tol_policy", _nonnegative, SolverOptions.tol_policy),
-    Field("solver.tol_value", _nonnegative, SolverOptions.tol_value),
+    Field("solver.max_outer_iters", _int, SolverOptions.max_outer_iters),
+    Field("solver.tol_policy", _real, SolverOptions.tol_policy),
+    Field("solver.tol_value", _real, SolverOptions.tol_value),
     Field("snapshot_times", _seq("a list of times", _real),
           lambda v: (0.0, v["horizon"] / 2.0, v["horizon"])),
-    Field("exchange.t_left", _seq("a list of rates", _normal), lambda v: (1.0,) * v["lanes"]),
-    Field("exchange.t_right", _seq("a list of rates", _normal), lambda v: (1.0,) * v["lanes"]),
+    Field("exchange.t_left", _seq("a list of times", _real), lambda v: (1.0,) * v["lanes"]),
+    Field("exchange.t_right", _seq("a list of times", _real), lambda v: (1.0,) * v["lanes"]),
 )
 
 # The object types that hold the dotted fields, and the keys read but not stored.
@@ -228,7 +224,7 @@ def preset(name: str) -> Scenario:
 
 
 def _read_fields(data: dict, problems: list) -> dict:
-    """Each field coerced, or _BAD; absent fields get their default, or None if it is derived."""
+    """Each field coerced, or _BAD; absent fields get their default."""
     objects = {"": data, **{g: {} if data.get(g) is None else data[g] for g in _GROUPS}}
     for name, node in objects.items():
         where = f"scenario.{name}" if name else "scenario"
@@ -250,42 +246,74 @@ def _read_fields(data: dict, problems: list) -> dict:
         elif f.default is REQUIRED:
             problems.append(f"scenario.{f.key}: missing")
             values[f.key] = _BAD
-        else:
-            values[f.key] = None if callable(f.default) else f.default
+        elif not callable(f.default):
+            values[f.key] = f.default
+        else:  # lanes and horizon, which it reads, come first
+            ok = _BAD not in (values["lanes"], values["horizon"])
+            values[f.key] = f.default(values) if ok else _BAD
     return values
 
 
-def _check_across(v: dict, problems: list) -> None:
-    """The rules that span fields, each stated once.
+def _build(v: dict, problems: list) -> set:
+    """Make each object from its fields into v[owner]; return the keys that failed a rule.
 
-    A rule that reads a rejected (_BAD) field is skipped, since that
-    field's problem is already on the list; absent fields are None.
+    A field that failed its format rule reaches the object as _BAD, and the
+    object's problems about it are left out. Each other problem, about the
+    field that key k fills, is reported as 'scenario.k: ...', and k fails
+    unless the rule spans several fields.
+    """
+    bad = {k for k, x in v.items() if x is _BAD}
+
+    def build(owner, make, *keys):
+        try:
+            v[owner] = make(*(v[k] for k in keys))
+        except InputError as exc:
+            key_of = dict(zip(inspect.signature(make).parameters, keys))
+            failed = {owner}
+            for p in exc.problems:
+                label, _, text = p.partition(": ")
+                named = [key_of[name.partition(".")[2]] for name in label.split(", ")]
+                if bad.isdisjoint(named):
+                    problems.append(", ".join(f"scenario.{k}" for k in named) + f": {text}")
+                    failed.update(named if len(named) == 1 else ())
+            bad.update(failed)
+
+    build("time_grid", TimeGrid, "horizon", "step_count")
+    build("spatial_grid", check_uniform, "domain", "node_count")
+    build("control_set", ControlSet, "control_levels")
+    build("target_set", TargetSet, "target")
+    for group, make in _GROUPS.items():
+        build(group, make, *(f.key for f in FIELDS
+                             if f.key.startswith(f"{group}.") and f.key not in _INPUT_ONLY))
+    return bad
+
+
+def _check_across(v: dict, bad: set, problems: list) -> None:
+    """The rules that span objects, each stated once.
+
+    A rule that reads a bad field or object is skipped, since its problem
+    is already on the list.
     """
     def ok(*keys):
-        return all(v[k] is not _BAD for k in keys)
+        return bad.isdisjoint(keys)
 
     lanes, horizon = v["lanes"], v["horizon"]
-    if ok("domain"):
+    if v["domain"] is not _BAD:  # an empty domain still places the targets outside it
         x_lo, x_hi = v["domain"]
         width = x_hi - x_lo
-        if not x_lo < x_hi:
-            problems.append(f"scenario.domain: empty interval [{x_lo}, {x_hi}]")
-        # project_initial squares a Simpson spacing, dx/16, which must stay a normal float
-        elif ok("node_count") and not (math.isfinite(width)
-                                       and width / (16 * 2.0**-511) >= v["node_count"] - 1):
-            problems.append(f"scenario.domain, scenario.node_count: the width {width} must be "
-                            "finite and the cell size at least 16 * 2**-511 (2.4e-153)")
-        elif ok("horizon", "cost.epsilon") and not math.isfinite(width + horizon / v["cost.epsilon"]):
+        # an infinite width is the spatial grid's problem
+        if (ok("domain", "horizon", "cost.epsilon") and math.isfinite(width)
+                and not math.isfinite(width + horizon / v["cost.epsilon"])):
             problems.append("scenario.domain, scenario.horizon, scenario.cost.epsilon: "
                             "width + horizon/epsilon, the bound on V, overflows")
     if ok("target"):
         for j, (pos, lane) in enumerate(v["target"]):
-            if ok("domain") and not x_lo <= pos <= x_hi:
+            if v["domain"] is not _BAD and not x_lo <= pos <= x_hi:
                 problems.append(f"scenario.target[{j}]: position {pos} outside domain "
                                 f"[{x_lo}, {x_hi}]")
             if ok("lanes") and lane > lanes:
                 problems.append(f"scenario.target[{j}]: lane {lane} outside 1..{lanes}")
-    if ok("horizon", "snapshot_times") and v["snapshot_times"] is not None:
+    if ok("horizon", "snapshot_times"):
         for t in v["snapshot_times"]:
             if not 0.0 <= t <= horizon:
                 problems.append(f"scenario.snapshot_times: {t} outside [0, {horizon}]")
@@ -310,11 +338,6 @@ def _check_across(v: dict, problems: list) -> None:
                                 f"scenario.flux.rho_max ({v['flux.rho_max']})")
     if v["solver.mixing"] is None and v["solver.damping"] not in (None, _BAD):
         problems.append('scenario.solver.damping: accepted only beside solver.mixing "harmonic"')
-    if ok("control_levels"):
-        try:
-            ControlSet(v["control_levels"])
-        except ValueError as exc:
-            problems.append(f"scenario.control_levels: {exc}")
     if ok("lanes", "node_count", "step_count"):
         need = peak_bytes(lanes, v["node_count"], v["step_count"])
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -322,10 +345,9 @@ def _check_across(v: dict, problems: list) -> None:
             problems.append(f"scenario.lanes, scenario.node_count, scenario.step_count: the "
                             f"solver needs about {reprlib.repr(need >> 30)} GiB, more than the "
                             f"{have / 2**30:.3g} GiB of physical memory")
-        elif ok("horizon", "flux.a", "flux.b", "flux.rho_max"):
+        elif ok("time_grid", "flux"):
             # one step of exchange adds up to ~dt*max_flux*lanes: speed b*that, foot offset dt*speed
-            dt = horizon / v["step_count"]  # step_count fits a float once memory does
-            flux = FluxParams(v["flux.a"], v["flux.b"], v["flux.rho_max"])
+            dt, flux = v["time_grid"].dt, v["flux"]  # step_count fits a float once memory does
             if not math.isfinite(dt * dt * flux.b * max_flux(flux) * lanes):
                 problems.append("scenario.horizon, scenario.step_count, scenario.flux, "
                                 "scenario.lanes: dt*dt*b*max_flux*lanes overflows")
@@ -337,15 +359,10 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError(["scenario: expected an object"])
     problems: list[str] = []
     values = _read_fields(data, problems)
-    _check_across(values, problems)
+    _check_across(values, _build(values, problems), problems)
     if problems:
         raise ScenarioError(problems)
-
-    for f in FIELDS:
-        if values[f.key] is None and callable(f.default):
-            values[f.key] = f.default(values)
-    kwargs = _nest((f.key, values[f.key]) for f in FIELDS if f.key not in _INPUT_ONLY)
-    return Scenario(**{k: _GROUPS[k](**v) if k in _GROUPS else v for k, v in kwargs.items()})
+    return Scenario(**{name: values[name] for name in Scenario.__dataclass_fields__})
 
 
 def _nest(items) -> dict:

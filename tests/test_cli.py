@@ -148,12 +148,12 @@ BAD_CONFIGS = [
                  id="overflowing-width"),
     pytest.param(small_dict(domain=[0.0, 1e-320], target=[[0.0, 1]]), ["domain", "node_count"],
                  ["target"], id="subnormal-cell-size"),
-    pytest.param(small_dict(domain=[5.0, 1.0]), ["domain: empty interval"], [],
+    pytest.param(small_dict(domain=[5.0, 1.0]), ["domain: expected a non-empty interval"], [],
                  id="empty-domain"),
     # these three validated and then exited 2
     pytest.param(small_dict(domain=[0.0, 1e-300], target=[[0.0, 1]]), ["domain", "node_count"],
                  ["target"], id="underflowing-simpson-spacing"),
-    pytest.param(small_dict(exchange={"t_left": [1e-320, 1.0]}), ["exchange.t_left[0]"], [],
+    pytest.param(small_dict(exchange={"t_left": [1e-320, 1.0]}), ["exchange.t_left: expected finite times"], [],
                  id="subnormal-exchange-time"),
     pytest.param(small_dict(horizon=1e160, step_count=10, snapshot_times=None),
                  ["horizon", "step_count", "flux", "lanes"], ["epsilon"],

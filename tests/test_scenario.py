@@ -5,6 +5,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lanemfg.baseline import BaselineParams
+from lanemfg.grid import TimeGrid, build_uniform
+from lanemfg.hjb import ControlSet
+from lanemfg.mfg import SolverOptions
+from lanemfg.model import CostParams, FluxParams, TargetSet
 from lanemfg.scenario import (
     PRESETS,
     ScenarioError,
@@ -154,6 +159,80 @@ class TestValidation:
         d["solver"] = {"damping": 1.5}
         with pytest.raises(ScenarioError, match="damping"):
             scenario_from_dict(d)
+
+
+def _coarse_with(replaced: dict) -> dict:
+    """The coarse preset's dict with the value at each dotted key replaced."""
+    d = PRESETS["paper-sec6-coarse"]()
+    for key, value in replaced.items():
+        parent, _, name = key.rpartition(".")
+        (d.setdefault(parent, {}) if parent else d)[name] = value
+    return d
+
+
+def _bad(field, key, value, make):
+    return pytest.param(field, key, value, make, id=f"{field}={value!r}")
+
+
+# One bad value per row: the object field its constructor names, the scenario
+# key that fills that field, and the constructor given the value.
+BAD_FIELDS = [
+    _bad("flux.a", "flux.a", 0.0, lambda x: FluxParams(a=x, b=1.0, rho_max=1.0)),
+    _bad("flux.b", "flux.b", -2.0, lambda x: FluxParams(a=1.0, b=x, rho_max=1.0)),
+    _bad("flux.rho_max", "flux.rho_max", 0.0, lambda x: FluxParams(a=1.0, b=1.0, rho_max=x)),
+    _bad("cost.kappa", "cost.kappa", -1.0, lambda x: CostParams(kappa=x, epsilon=1e-5)),
+    _bad("cost.epsilon", "cost.epsilon", 0.0, lambda x: CostParams(kappa=1.0, epsilon=x)),
+    _bad("target_set.points", "target", [], lambda x: TargetSet(points=tuple(x))),
+    _bad("target_set.points", "target", [[25.0, 0]],
+         lambda x: TargetSet(points=tuple(map(tuple, x)))),
+    _bad("control_set.levels", "control_levels", [0.0, 0.5], lambda x: ControlSet(tuple(x))),
+    _bad("control_set.levels", "control_levels", [0.1, 1.0], lambda x: ControlSet(tuple(x))),
+    _bad("control_set.levels", "control_levels", [0.0, 0.5, 0.5, 1.0],
+         lambda x: ControlSet(tuple(x))),
+    _bad("control_set.levels", "control_levels", [0.0, math.nan, 1.0],
+         lambda x: ControlSet(tuple(x))),
+    # True is not an integer, and an infinite tolerance would stop the loop after one iteration
+    _bad("solver.max_outer_iters", "solver.max_outer_iters", True,
+         lambda x: SolverOptions(max_outer_iters=x)),
+    _bad("solver.tol_policy", "solver.tol_policy", math.inf, lambda x: SolverOptions(tol_policy=x)),
+    _bad("solver.tol_value", "solver.tol_value", math.inf, lambda x: SolverOptions(tol_value=x)),
+    _bad("exchange.t_left", "exchange.t_left", [1.0, 0.0, 1.0],
+         lambda x: BaselineParams(t_left=tuple(x), t_right=(1.0,) * 3)),
+    _bad("exchange.t_right", "exchange.t_right", [1.0, 1.0, 5e-324],
+         lambda x: BaselineParams(t_left=(1.0,) * 3, t_right=tuple(x))),
+    _bad("time_grid.horizon", "horizon", 0.0, lambda x: TimeGrid(horizon=x, step_count=10)),
+    _bad("time_grid.step_count", "step_count", 0, lambda x: TimeGrid(horizon=1.0, step_count=x)),
+    _bad("time_grid.step_count", "step_count", True,
+         lambda x: TimeGrid(horizon=1.0, step_count=x)),
+    _bad("spatial_grid.node_count", "node_count", 1, lambda x: build_uniform(0.0, 25.0, x)),
+    # a fractional node count fails here, not as a TypeError inside np.linspace
+    _bad("spatial_grid.node_count", "node_count", 2.5, lambda x: build_uniform(0.0, 25.0, x)),
+    _bad("spatial_grid.domain", "domain", [3.0, 3.0], lambda x: build_uniform(*x, 5)),
+    # an infinite end, or a width that overflows, would give NaN and inf nodes
+    _bad("spatial_grid.domain", "domain", [0.0, math.inf], lambda x: build_uniform(*x, 5)),
+    _bad("spatial_grid.domain", "domain", [-1e308, 1e308], lambda x: build_uniform(*x, 5)),
+    # project_initial divides by zero on cells this small
+    _bad("spatial_grid.domain", "domain", [0.0, 1e-300], lambda x: build_uniform(*x, 3)),
+]
+
+
+@pytest.mark.parametrize("field, key, value, make", BAD_FIELDS)
+def test_a_bad_field_is_named_by_its_object_and_by_the_schema(field, key, value, make):
+    with pytest.raises(ValueError) as lib:
+        make(value)
+    assert field in str(lib.value)
+    with pytest.raises(ScenarioError) as scn:
+        scenario_from_dict(_coarse_with({key: value}))
+    assert any(p.startswith(f"scenario.{key}") for p in scn.value.problems)
+
+
+def test_every_bad_field_of_an_object_is_named():
+    with pytest.raises(ValueError) as lib:
+        FluxParams(a=-1.0, b=0.0, rho_max=1.0)
+    assert "flux.a" in str(lib.value) and "flux.b" in str(lib.value)
+    with pytest.raises(ScenarioError) as scn:
+        scenario_from_dict(_coarse_with({"flux.a": -1, "flux.b": 0}))
+    assert [p.split(":")[0] for p in scn.value.problems] == ["scenario.flux.a", "scenario.flux.b"]
 
 
 class TestRoundTrip:
