@@ -9,7 +9,6 @@ exercise.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import transport
 from .grid import SpatialGrid, TimeGrid, lane_density
-from .model import FluxParams, check_fields, flux_eval
+from .model import FluxParams, check_fields, flux_eval, is_finite
 
 __all__ = ["BaselineParams", "lwr_velocity", "uncontrolled_solve"]
 
@@ -25,7 +24,7 @@ _RHO_TINY = 1e-12
 # the least exchange time: a subnormal one overflows the rate f/t of the exchange
 MIN_EXCHANGE_TIME = sys.float_info.min
 _TIMES = (f"finite times of at least {MIN_EXCHANGE_TIME}",
-          lambda ts: all(math.isfinite(t) and t >= MIN_EXCHANGE_TIME for t in ts))
+          lambda ts: all(is_finite(t) and t >= MIN_EXCHANGE_TIME for t in ts))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import POSITIVE, at_least, check_fields
+from .model import POSITIVE, at_least, check_fields, is_number
 
 __all__ = [
     "SpatialGrid",
@@ -79,14 +79,14 @@ class SpatialGrid:
 
 def check_uniform(domain: tuple[float, float], node_count: int) -> None:
     """Raise InputError unless build_uniform(*domain, node_count) makes a grid; allocates nothing."""
-    check_fields("spatial_grid",
-                 ("domain", domain, "a non-empty interval [x_lo, x_hi]", lambda d: d[0] < d[1]),
-                 ("node_count", node_count, *at_least(2)))
-    # project_initial squares a Simpson spacing, dx/16, which must stay a normal float
-    check_fields("spatial_grid", (
-        "domain, node_count", (*domain, node_count),
+    # an infinite end is a number here, so it reaches the finite width rule
+    check_fields("spatial_grid", ("domain", domain, "a non-empty interval [x_lo, x_hi]",
+                                  lambda d: all(map(is_number, d)) and d[0] < d[1]),
+                 ("node_count", node_count, *at_least(2)), (
+        # project_initial squares a Simpson spacing, dx/16, which must stay a normal float
+        "domain, node_count", (domain, node_count),
         "a finite width and a cell size of at least 16 * 2**-511 (2.4e-153)",
-        lambda d: math.isfinite(d[1] - d[0]) and (d[1] - d[0]) / (16 * 2.0**-511) >= d[2] - 1))
+        lambda dm: math.isfinite(w := dm[0][1] - dm[0][0]) and w / (16 * 2.0**-511) >= dm[1] - 1))
 
 
 def build_uniform(x_lo: float, x_hi: float, m: int) -> SpatialGrid:
@@ -108,7 +108,10 @@ class TimeGrid:
 
     def __post_init__(self):
         check_fields("time_grid", ("horizon", self.horizon, *POSITIVE),
-                     ("step_count", self.step_count, *at_least(1)))
+                     ("step_count", self.step_count, *at_least(1)),
+                     ("horizon, step_count", (self.horizon, self.step_count),
+                      "a finite positive time step horizon/step_count",
+                      lambda hk: POSITIVE[1](hk[0] / hk[1])))
 
     @property
     def dt(self) -> float:

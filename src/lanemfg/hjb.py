@@ -40,8 +40,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import SpatialGrid, TimeGrid, locate, p1_at
-from .model import (CostParams, FluxParams, TargetSet, check_fields, moving_span, running_cost,
-                    switching_cost, terminal_value, transport_speed)
+from .model import (CostParams, FluxParams, TargetSet, check_fields, is_finite, moving_span,
+                    running_cost, switching_cost, terminal_value, transport_speed)
 
 __all__ = [
     "ControlSet",
@@ -69,8 +69,8 @@ class ControlSet:
         check_fields("control_set", (
             "levels", self.levels,
             f"2 to {MAX_CONTROL_LEVELS} control levels, strictly increasing from 0 to 1",
-            lambda lv: 2 <= len(lv) <= MAX_CONTROL_LEVELS and lv[0] == 0 and lv[-1] == 1
-            and all(b > a for a, b in zip(lv, lv[1:]))))
+            lambda lv: 2 <= len(lv) <= MAX_CONTROL_LEVELS and all(map(is_finite, lv))
+            and lv[0] == 0 and lv[-1] == 1 and all(b > a for a, b in zip(lv, lv[1:]))))
 
     @property
     def values(self) -> np.ndarray:

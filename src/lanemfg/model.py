@@ -8,20 +8,25 @@ distance-to-target terminal cost. transport_speed and moving_span take
 float64 (lanes, nodes) arrays; the other evaluators accept scalars or
 arrays and broadcast.
 
-Each parameter object of the solver checks every field when it is made,
-through check_fields: one InputError lists each field that fails its rule.
+Every input rule is a (what, test) pair run by check_fields: one InputError
+lists each field that fails its rule. The parameter objects check every field
+when they are made, and the scenario schema runs its own rules through it
+too. A number is what is_number says: a Python or numpy int or float, never a
+bool; is_finite and is_integer narrow it.
 """
 
 from __future__ import annotations
 
 import math
 import reprlib
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "InputError",
+    "is_number", "is_finite", "is_integer",
     "check_fields",
     "FluxParams",
     "CostParams",
@@ -47,37 +52,53 @@ class InputError(ValueError):
         super().__init__(f"{self.title}:\n" + "\n".join(f"  - {p}" for p in self.problems))
 
 
-def _integer(n) -> bool:
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+def is_number(x) -> bool:
+    """A Python or numpy int or float, never a bool."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+def is_finite(x) -> bool:
+    """A number in the finite float range: not NaN, not infinite, no int beyond it."""
+    return is_number(x) and abs(x) <= sys.float_info.max
+
+
+def is_integer(n) -> bool:
+    """A Python or numpy int, never a bool."""
+    return is_number(n) and isinstance(n, (int, np.integer))
 
 
 # (what, test) rules on one value
-POSITIVE = ("a finite positive number", lambda x: math.isfinite(x) and x > 0)
-NONNEGATIVE = ("a finite number >= 0", lambda x: math.isfinite(x) and x >= 0)
+POSITIVE = ("a finite positive number", lambda x: is_finite(x) and x > 0)
+NONNEGATIVE = ("a finite number >= 0", lambda x: is_finite(x) and x >= 0)
 
 
 def at_least(least: int):
-    return (f"an integer >= {least}", lambda n: _integer(n) and n >= least)
+    return (f"an integer >= {least}", lambda n: is_integer(n) and n >= least)
 
 
 def check_fields(owner: str, *rules) -> None:
     """Raise one InputError naming each failed rule '<owner>.<field>: expected <what>, got <value>'.
 
-    Each rule is (field, value, what, test), and a field may name several, as
-    "domain, node_count". A test that raises TypeError, ValueError or
+    A rule is (field, value, what, test); its field may name several, as
+    "domain, node_count", and it is skipped while one of them has failed a
+    rule on it alone. A test that raises TypeError, ValueError or
     OverflowError fails.
     """
-    problems = []
+    found, failed = [], set()
     for name, value, what, test in rules:
+        names = name.split(", ")
+        if failed.intersection(names):
+            continue
         try:
             passed = bool(test(value))
         except (TypeError, ValueError, OverflowError):
             passed = False
         if not passed:
-            problems.append(", ".join(f"{owner}.{n}" for n in name.split(", "))
-                            + f": expected {what}, got {reprlib.repr(value)}")
-    if problems:
-        raise InputError(problems)
+            failed.update(names if len(names) == 1 else ())
+            found.append(", ".join(f"{owner}.{n}" for n in names)
+                         + f": expected {what}, got {reprlib.repr(value)}")
+    if found:
+        raise InputError(found)
 
 
 @dataclass(frozen=True)
@@ -90,7 +111,10 @@ class FluxParams:
 
     def __post_init__(self):
         check_fields("flux", ("a", self.a, *POSITIVE), ("b", self.b, *POSITIVE),
-                     ("rho_max", self.rho_max, *POSITIVE))
+                     ("rho_max", self.rho_max, *POSITIVE), (
+            "a, b, rho_max", (self.a, self.b, self.rho_max),
+            "a finite positive max_flux and critical_density",
+            lambda _: all(POSITIVE[1](peak(self)) for peak in (max_flux, critical_density))))
 
 
 @dataclass(frozen=True)
@@ -102,7 +126,8 @@ class CostParams:
 
     def __post_init__(self):
         # kappa = inf is a valid sentinel that disables switching entirely
-        check_fields("cost", ("kappa", self.kappa, "a positive number", lambda k: k > 0),
+        check_fields("cost", ("kappa", self.kappa, "a positive number or inf",
+                              lambda k: k == math.inf or POSITIVE[1](k)),
                      ("epsilon", self.epsilon, *POSITIVE))
 
 
@@ -115,7 +140,7 @@ class TargetSet:
     def __post_init__(self):
         check_fields("target_set", (
             "points", self.points, "a non-empty list of (finite position, lane >= 1) pairs",
-            lambda pts: pts and all(math.isfinite(x) and _integer(i) and i >= 1 for x, i in pts)))
+            lambda pts: pts and all(is_finite(x) and is_integer(i) and i >= 1 for x, i in pts)))
 
     @property
     def positions(self) -> np.ndarray:

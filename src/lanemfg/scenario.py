@@ -1,15 +1,15 @@
 """Scenario files: strict JSON schema, presets, and problem assembly.
 
-A scenario is one JSON object described by the field table `FIELDS`:
-each entry gives a dotted key path, a coercer and a default (or
-REQUIRED). Coercers check only the JSON format and record problems
-instead of raising. A rule on one value is checked by the object that
-holds it, which the schema builds from the coerced fields; one pass then
-checks the rules that span objects, and validation reports every
-violation, not just the first. Unknown keys are rejected, and a key whose
-value is null counts as absent. The preset names `paper-sec6` and
-`paper-sec6-coarse` expand to the built-in 3-lane experiment at full and
-reduced resolution.
+A scenario is one JSON object described by the field table `FIELDS`: each
+key's dotted path, format rule and default (or REQUIRED). Every rule is a
+(what, test) pair run by model.check_fields, so every problem reads
+'scenario.<key>: expected <what>, got <value>'. A format rule checks only the
+JSON form, so that the value can be stored. The object that holds a value
+checks the rules on it, and the table `ACROSS` holds the rules that span
+objects, each skipped while a key it reads has failed its own rule. Every
+problem is reported. Unknown keys are rejected, and a null value counts as
+absent. The preset names `paper-sec6` and `paper-sec6-coarse` expand to the
+built-in 3-lane experiment at full and reduced resolution.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ import inspect
 import json
 import math
 import os
-import reprlib
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -29,7 +28,8 @@ from .baseline import BaselineParams
 from .grid import SpatialGrid, TimeGrid, build_uniform, check_uniform, project_initial
 from .hjb import MAX_LANES, ControlSet
 from .mfg import SolverOptions, peak_bytes
-from .model import CostParams, FluxParams, InputError, TargetSet, max_flux
+from .model import (CostParams, FluxParams, InputError, TargetSet, check_fields, is_finite,
+                    is_integer, max_flux)
 
 __all__ = [
     "ScenarioError",
@@ -65,6 +65,18 @@ class InitialDensity:
     preset: str | None = None
     samples: tuple[tuple[tuple[float, float], ...], ...] | None = None
 
+    def __post_init__(self):
+        check_fields("initial_density", (
+            "preset", self.preset, f"None or one of {list(DENSITY_PRESETS)}",
+            lambda p: p is None or p in DENSITY_PRESETS), (
+            "samples", self.samples, "None or per-lane non-empty [x, value] tables, x finite "
+            "and strictly increasing, values finite and nonnegative",
+            lambda ts: ts is None or all(
+                len(t) and all(is_finite(x) and is_finite(y) and y >= 0 for x, y in t)
+                and all(b[0] > a[0] for a, b in zip(t, t[1:])) for t in ts)), (
+            "preset, samples", (self.preset, self.samples), "exactly one of preset or samples",
+            lambda ps: (ps[0] is None) != (ps[1] is None)))
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -83,108 +95,73 @@ class Scenario:
     exchange: BaselineParams
 
 
-# ---- coercers: (raw value, path, problems) -> value, or _BAD after recording a problem
+# ---- format rules: (what, test, make), where make stores a value that passed the test
 
 _BAD = object()
 REQUIRED = object()
-Coercer = Callable[[Any, str, list], Any]
+
+_REAL = ("a finite number", is_finite, float)
+_INT = ("an integer", is_integer, int)
 
 
-def _num(what: str = "a finite number", test=None, integer: bool = False) -> Coercer:
-    """A finite number (an int if `integer`, else a float) passing `test`; never a bool."""
-
-    def coerce(v, path, problems):
-        x = None
-        if not isinstance(v, bool) and isinstance(v, int if integer else (int, float)):
-            try:
-                x = v if integer else float(v)
-            except OverflowError:  # an int beyond the float range
-                pass
-        if x is None or not (integer or math.isfinite(x)) or (test is not None and not test(x)):
-            problems.append(f"{path}: expected {what}, got {reprlib.repr(v)}")
-            return _BAD
-        return x
-
-    return coerce
+def _choice(*options):
+    return f"one of {list(options)}", lambda v: v in options, str
 
 
-def _choice(options) -> Coercer:
-    def coerce(v, path, problems):
-        if isinstance(v, str) and v in options:
-            return v
-        problems.append(f"{path}: {reprlib.repr(v)} not one of {list(options)}")
-        return _BAD
+def _seq(what: str, *each):
+    """A list stored as a tuple: any number of entries of one format, or a row of several."""
 
-    return coerce
+    def formats(v):
+        return each if len(each) > 1 else each * len(v)
 
-
-def _seq(what: str, each, least: int = 0) -> Coercer:
-    """A list coerced entry by entry into a tuple.
-
-    `each` is the coercer of every entry, or a tuple of coercers for a row
-    of exactly that many entries.
-    """
-    row = isinstance(each, tuple)
-
-    def coerce(v, path, problems):
-        if not isinstance(v, (list, tuple)) or len(v) < least or (row and len(v) != len(each)):
-            problems.append(f"{path}: expected {what}, got {reprlib.repr(v)}")
-            return _BAD
-        out = tuple((each[i] if row else each)(x, f"{path}[{i}]", problems)
-                    for i, x in enumerate(v))
-        return _BAD if any(x is _BAD for x in out) else out
-
-    return coerce
+    return (what,
+            lambda v: isinstance(v, (list, tuple)) and len(v) == len(formats(v))
+            and all(test(x) for (_, test, _), x in zip(formats(v), v)),
+            lambda v: tuple(make(x) for (_, _, make), x in zip(formats(v), v)))
 
 
-_real = _num()
-_int = _num("an integer", integer=True)
-_nonnegative = _num("a finite nonnegative number", lambda x: x >= 0)
+_REALS = _seq("a list of finite numbers", _REAL)
 
 
 class Field(NamedTuple):
-    """One scenario key: a dotted path ("a.b" is key b of object a), its coercer and default.
-
-    A callable default reads lanes and horizon, and is _BAD where either is.
-    """
+    """A dotted key ("a.b" is key b of object a), its format, and a default of lanes and horizon."""
 
     key: str
-    coerce: Coercer
+    format: tuple
     default: Any = REQUIRED
 
 
 FIELDS = (
-    Field("lanes", _num(f"an integer in 1..{MAX_LANES}", lambda n: 1 <= n <= MAX_LANES,
-                        integer=True)),
-    Field("domain", _seq("[x_lo, x_hi]", (_real, _real))),
-    Field("horizon", _real),
-    Field("node_count", _int),
-    Field("step_count", _int),
-    Field("flux.a", _real),
-    Field("flux.b", _real),
-    Field("flux.rho_max", _real),
-    Field("cost.kappa", _real),
-    Field("cost.epsilon", _real),
-    Field("control_levels", _seq("a list of numbers", _real)),
-    Field("target", _seq("a list of [position, lane] pairs",
-                         _seq("[position, lane]", (_real, _int)))),
-    Field("initial_density.preset", _choice(DENSITY_PRESETS), None),
+    Field("lanes", (f"an integer in 1..{MAX_LANES}",
+                    lambda n: is_integer(n) and 1 <= n <= MAX_LANES, int)),
+    Field("domain", _seq("[x_lo, x_hi], two finite numbers", _REAL, _REAL)),
+    Field("horizon", _REAL),
+    Field("node_count", _INT),
+    Field("step_count", _INT),
+    Field("flux.a", _REAL),
+    Field("flux.b", _REAL),
+    Field("flux.rho_max", _REAL),
+    Field("cost.kappa", _REAL),
+    Field("cost.epsilon", _REAL),
+    Field("control_levels", _REALS),
+    Field("target", _seq("a list of [position, lane] pairs of a finite number and an integer",
+                         _seq("[position, lane]", _REAL, _INT))),
+    Field("initial_density.preset", ("a preset name", lambda v: isinstance(v, str), str), None),
     Field("initial_density.samples", _seq(
-        "one sample table per lane",
-        _seq("a non-empty list of [x, value] pairs", _seq("[x, value]", (_real, _nonnegative)),
-             least=1)), None),
+        "a list per lane of [x, value] pairs of finite numbers",
+        _seq("a list of [x, value] pairs", _seq("[x, value]", _REAL, _REAL))), None),
     # accepted for files that name them: optimal control is the only drift and harmonic
     # averaging the only mixing rule, beside which damping never acted
-    Field("drift", _choice(("optimal-control",)), "optimal-control"),
-    Field("solver.damping", _num("a finite number in (0, 1]", lambda x: 0 < x <= 1), None),
-    Field("solver.mixing", _choice(("harmonic",)), None),
-    Field("solver.max_outer_iters", _int, SolverOptions.max_outer_iters),
-    Field("solver.tol_policy", _real, SolverOptions.tol_policy),
-    Field("solver.tol_value", _real, SolverOptions.tol_value),
-    Field("snapshot_times", _seq("a list of times", _real),
-          lambda v: (0.0, v["horizon"] / 2.0, v["horizon"])),
-    Field("exchange.t_left", _seq("a list of times", _real), lambda v: (1.0,) * v["lanes"]),
-    Field("exchange.t_right", _seq("a list of times", _real), lambda v: (1.0,) * v["lanes"]),
+    Field("drift", _choice("optimal-control"), "optimal-control"),
+    Field("solver.damping", ("a finite number in (0, 1]",
+                             lambda x: is_finite(x) and 0 < x <= 1, float), None),
+    Field("solver.mixing", _choice("harmonic"), None),
+    Field("solver.max_outer_iters", _INT, SolverOptions.max_outer_iters),
+    Field("solver.tol_policy", _REAL, SolverOptions.tol_policy),
+    Field("solver.tol_value", _REAL, SolverOptions.tol_value),
+    Field("snapshot_times", _REALS, lambda v: (0.0, v["horizon"] / 2.0, v["horizon"])),
+    Field("exchange.t_left", _REALS, lambda v: (1.0,) * v["lanes"]),
+    Field("exchange.t_right", _REALS, lambda v: (1.0,) * v["lanes"]),
 )
 
 # The object types that hold the dotted fields, and the keys read but not stored.
@@ -224,7 +201,7 @@ def preset(name: str) -> Scenario:
 
 
 def _read_fields(data: dict, problems: list) -> dict:
-    """Each field coerced, or _BAD; absent fields get their default."""
+    """Each field as stored, or _BAD; absent fields get their default."""
     objects = {"": data, **{g: {} if data.get(g) is None else data[g] for g in _GROUPS}}
     for name, node in objects.items():
         where = f"scenario.{name}" if name else "scenario"
@@ -242,7 +219,13 @@ def _read_fields(data: dict, problems: list) -> dict:
         if not isinstance(node, dict):
             values[f.key] = _BAD
         elif node.get(key) is not None:
-            values[f.key] = f.coerce(node[key], f"scenario.{f.key}", problems)
+            what, test, make = f.format
+            try:
+                check_fields("scenario", (f.key, node[key], what, test))
+                values[f.key] = make(node[key])
+            except InputError as exc:
+                problems.extend(exc.problems)
+                values[f.key] = _BAD
         elif f.default is REQUIRED:
             problems.append(f"scenario.{f.key}: missing")
             values[f.key] = _BAD
@@ -288,69 +271,58 @@ def _build(v: dict, problems: list) -> set:
     return bad
 
 
+_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _unless_finite(x) -> list:
+    return [] if math.isfinite(x) else [x]
+
+
+# The rules across objects: (keys read, what, offending entries of the keys' values).
+# `what` is formatted with those values; the rule fails when it finds an offending entry.
+ACROSS = (
+    # an infinite width is the spatial grid's problem
+    (("domain", "horizon", "cost.epsilon"), "a finite width + horizon/epsilon, the bound on V",
+     lambda d, horizon, eps:
+     [] if math.isinf(w := d[1] - d[0]) else _unless_finite(w + horizon / eps)),
+    (("target", "domain"), "target positions in the domain {1}",
+     lambda targets, d: [t for t in targets if not d[0] <= t[0] <= d[1]]),
+    (("target", "lanes"), "target lanes in 1..{1}",
+     lambda targets, lanes: [t for t in targets if t[1] > lanes]),
+    (("snapshot_times", "horizon"), "times in [0, {1}]",
+     lambda times, horizon: [t for t in times if not 0.0 <= t <= horizon]),
+    *(((key, "lanes"), "as many entries as lanes ({1})",
+       lambda xs, lanes: [] if xs is None or len(xs) == lanes else [len(xs)])
+      for key in ("initial_density.samples", "exchange.t_left", "exchange.t_right")),
+    (("initial_density.preset", "lanes"), "3 lanes for the preset 'paper-sec6'",
+     lambda name, lanes: [lanes] if name == "paper-sec6" and lanes != 3 else []),
+    (("initial_density.samples", "flux.rho_max"), "sample values at most rho_max ({1})",
+     lambda tables, rho_max: [y for table in tables or () for _, y in table if y > rho_max]),
+    (("solver.damping", "solver.mixing"), 'damping only beside mixing "harmonic"',
+     lambda damping, mixing: [damping] if damping is not None and mixing is None else []),
+    (("lanes", "node_count", "step_count"),
+     f"the GiB a solve needs, at most the {_MEMORY / 2**30:.3g} GiB of physical memory",
+     lambda lanes, m, n: [] if (need := peak_bytes(lanes, m, n)) <= _MEMORY else [need >> 30]),
+    (("time_grid", "flux", "lanes"),
+     # one step of exchange adds up to ~dt*max_flux*lanes: speed b*that, foot offset dt*speed
+     "a finite dt*dt*b*max_flux*lanes, the foot offset of one step of exchange",
+     lambda tg, flux, lanes: _unless_finite(tg.dt * tg.dt * flux.b * max_flux(flux) * lanes)),
+)
+_MADE_FROM = {"time_grid": "horizon, step_count"}  # a made object ACROSS reads, by its keys
+
+
 def _check_across(v: dict, bad: set, problems: list) -> None:
-    """The rules that span objects, each stated once.
-
-    A rule that reads a bad field or object is skipped, since its problem
-    is already on the list.
-    """
-    def ok(*keys):
-        return bad.isdisjoint(keys)
-
-    lanes, horizon = v["lanes"], v["horizon"]
-    if v["domain"] is not _BAD:  # an empty domain still places the targets outside it
-        x_lo, x_hi = v["domain"]
-        width = x_hi - x_lo
-        # an infinite width is the spatial grid's problem
-        if (ok("domain", "horizon", "cost.epsilon") and math.isfinite(width)
-                and not math.isfinite(width + horizon / v["cost.epsilon"])):
-            problems.append("scenario.domain, scenario.horizon, scenario.cost.epsilon: "
-                            "width + horizon/epsilon, the bound on V, overflows")
-    if ok("target"):
-        for j, (pos, lane) in enumerate(v["target"]):
-            if v["domain"] is not _BAD and not x_lo <= pos <= x_hi:
-                problems.append(f"scenario.target[{j}]: position {pos} outside domain "
-                                f"[{x_lo}, {x_hi}]")
-            if ok("lanes") and lane > lanes:
-                problems.append(f"scenario.target[{j}]: lane {lane} outside 1..{lanes}")
-    if ok("horizon", "snapshot_times"):
-        for t in v["snapshot_times"]:
-            if not 0.0 <= t <= horizon:
-                problems.append(f"scenario.snapshot_times: {t} outside [0, {horizon}]")
-    for key in ("initial_density.samples", "exchange.t_left", "exchange.t_right"):
-        if ok("lanes", key) and v[key] is not None and len(v[key]) != lanes:
-            problems.append(f"scenario.{key}: expected one entry per lane ({lanes}), "
-                            f"got {len(v[key])}")
-
-    name, tables = v["initial_density.preset"], v["initial_density.samples"]
-    if (name is None) == (tables is None):
-        problems.append("scenario.initial_density: give exactly one of 'preset' or 'samples'")
-    elif name == "paper-sec6" and ok("lanes") and lanes != 3:
-        problems.append(f"scenario.initial_density.preset: 'paper-sec6' requires 3 lanes, "
-                        f"scenario has {lanes}")
-    if ok("initial_density.samples") and tables is not None:
-        for i, table in enumerate(tables):
-            if any(b[0] <= a[0] for a, b in zip(table, table[1:])):
-                problems.append(f"scenario.initial_density.samples[{i}]: x coordinates must "
-                                "be strictly increasing")
-            if ok("flux.rho_max") and any(value > v["flux.rho_max"] for _, value in table):
-                problems.append(f"scenario.initial_density.samples[{i}]: values must not exceed "
-                                f"scenario.flux.rho_max ({v['flux.rho_max']})")
-    if v["solver.mixing"] is None and v["solver.damping"] not in (None, _BAD):
-        problems.append('scenario.solver.damping: accepted only beside solver.mixing "harmonic"')
-    if ok("lanes", "node_count", "step_count"):
-        need = peak_bytes(lanes, v["node_count"], v["step_count"])
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if need > have:
-            problems.append(f"scenario.lanes, scenario.node_count, scenario.step_count: the "
-                            f"solver needs about {reprlib.repr(need >> 30)} GiB, more than the "
-                            f"{have / 2**30:.3g} GiB of physical memory")
-        elif ok("time_grid", "flux"):
-            # one step of exchange adds up to ~dt*max_flux*lanes: speed b*that, foot offset dt*speed
-            dt, flux = v["time_grid"].dt, v["flux"]  # step_count fits a float once memory does
-            if not math.isfinite(dt * dt * flux.b * max_flux(flux) * lanes):
-                problems.append("scenario.horizon, scenario.step_count, scenario.flux, "
-                                "scenario.lanes: dt*dt*b*max_flux*lanes overflows")
+    """Run each rule of ACROSS whose keys all passed their own rules."""
+    rules = []
+    for keys, what, offending in ACROSS:
+        if bad.isdisjoint(keys):
+            values = [v[k] for k in keys]
+            rules.append((", ".join(_MADE_FROM.get(k, k) for k in keys), offending(*values),
+                          what.format(*values), lambda entries: not entries))
+    try:
+        check_fields("scenario", *rules)
+    except InputError as exc:
+        problems.extend(exc.problems)
 
 
 def scenario_from_dict(data: dict) -> Scenario:

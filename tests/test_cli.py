@@ -159,7 +159,8 @@ BAD_CONFIGS = [
                  ["horizon", "step_count", "flux", "lanes"], ["epsilon"],
                  id="overflowing-foot-offset"),
     pytest.param(small_dict(initial_density={"samples": [[[0.0, 1e308]], [[0.0, 0.1]]]}),
-                 ["initial_density.samples[0]", "flux.rho_max"], [], id="sample-above-rho-max"),
+                 ["initial_density.samples, scenario.flux.rho_max", "got [1e+308]"], [],
+                 id="sample-above-rho-max"),
     pytest.param(small_dict(horizon=1e308), ["domain", "horizon", "cost.epsilon"], [],
                  id="overflowing-value-bound"),
     pytest.param(small_dict(control_levels=[i / 39999 for i in range(40000)]),

@@ -62,6 +62,13 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="step_count"):
             TimeGrid(horizon=1.0, step_count=steps)
 
+    @pytest.mark.parametrize("horizon, steps", [(1.0, 10**400), (5e-324, 10)])
+    def test_rejects_a_time_step_that_is_not_a_finite_positive_float(self, horizon, steps):
+        # 1.0 / 10**400 raises OverflowError, and 5e-324 / 10 underflows to 0
+        with pytest.raises(ValueError) as exc:
+            TimeGrid(horizon=horizon, step_count=steps)
+        assert exc.value.problems[0].startswith("time_grid.horizon, time_grid.step_count: ")
+
     def test_takes_a_numpy_integer_step_count(self):
         assert TimeGrid(horizon=1.0, step_count=np.int64(4)).dt == 0.25
 

@@ -63,6 +63,14 @@ class TestFlux:
         np.testing.assert_allclose(out, [0.0, 0.75, 0.0])
 
 
+    @pytest.mark.parametrize("a, b, rho_max", [(1e308, 1e308, 1e308), (3.0, 5e-324, 1.0)])
+    def test_slopes_whose_peak_is_not_a_finite_positive_number_are_rejected(self, a, b, rho_max):
+        # a*b overflows to inf, and inf/(a+b) is NaN; or b/(a+b) underflows to 0
+        with pytest.raises(ValueError) as exc:
+            FluxParams(a, b, rho_max)
+        assert exc.value.problems[0].startswith("flux.a, flux.b, flux.rho_max: expected a finite")
+
+
 class TestCriticalDensity:
     def test_paper_parameters(self):
         assert critical_density(P) == pytest.approx(0.25, rel=1e-14)

@@ -12,6 +12,7 @@ from lanemfg.mfg import SolverOptions
 from lanemfg.model import CostParams, FluxParams, TargetSet
 from lanemfg.scenario import (
     PRESETS,
+    InitialDensity,
     ScenarioError,
     initial_field,
     density_functions,
@@ -170,8 +171,8 @@ def _coarse_with(replaced: dict) -> dict:
     return d
 
 
-def _bad(field, key, value, make):
-    return pytest.param(field, key, value, make, id=f"{field}={value!r}")
+def _bad(field, key, value, make, shown=None):
+    return pytest.param(field, key, value, make, id=f"{field}={shown or repr(value)}")
 
 
 # One bad value per row: the object field its constructor names, the scenario
@@ -213,7 +214,60 @@ BAD_FIELDS = [
     _bad("spatial_grid.domain", "domain", [-1e308, 1e308], lambda x: build_uniform(*x, 5)),
     # project_initial divides by zero on cells this small
     _bad("spatial_grid.domain", "domain", [0.0, 1e-300], lambda x: build_uniform(*x, 3)),
+    _bad("initial_density.preset", "initial_density.preset", "paper-sec7",
+         lambda x: InitialDensity(preset=x)),
+    _bad("initial_density.preset", "initial_density", {}, lambda x: InitialDensity(**x)),
+    _bad("initial_density.samples", "initial_density", {"samples": [[[1.0, 0.1], [0.0, 0.1]]] * 3},
+         lambda x: InitialDensity(samples=_tables(x["samples"]))),
+    _bad("initial_density.samples", "initial_density", {"samples": [[[0.0, -0.1]]] * 3},
+         lambda x: InitialDensity(samples=_tables(x["samples"]))),
 ]
+
+
+def _tables(samples):
+    return tuple(tuple(map(tuple, table)) for table in samples)
+
+
+# The drift guard: each number of each object the schema builds, as (field, key, the
+# scenario value with v in its place, the constructor of that value), rejects every value
+# of DRIFT unless it is listed as allowed: inf is a kappa that turns switching off, and
+# an integer with no upper bound in its object takes 10**400.
+DRIFT = {"true": True, "false": False, "text": "1", "list": [1.0], "huge": 10**400,
+         "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+NUMBERS = [
+    ("flux.a", "flux.a", lambda v: v, lambda x: FluxParams(x, 1.0, 1.0), ()),
+    ("flux.b", "flux.b", lambda v: v, lambda x: FluxParams(3.0, x, 1.0), ()),
+    ("flux.rho_max", "flux.rho_max", lambda v: v, lambda x: FluxParams(3.0, 1.0, x), ()),
+    ("cost.kappa", "cost.kappa", lambda v: v, lambda x: CostParams(x, 1e-5), ("inf",)),
+    ("cost.epsilon", "cost.epsilon", lambda v: v, lambda x: CostParams(1.0, x), ()),
+    ("target_set.points", "target", lambda v: [[v, 1]], lambda x: TargetSet(_tables([x])[0]), ()),
+    ("target_set.points", "target", lambda v: [[25.0, v]], lambda x: TargetSet(_tables([x])[0]),
+     ("huge",)),
+    ("control_set.levels", "control_levels", lambda v: [0.0, v, 1.0],
+     lambda x: ControlSet(tuple(x)), ()),
+    ("solver.max_outer_iters", "solver.max_outer_iters", lambda v: v,
+     lambda x: SolverOptions(max_outer_iters=x), ("huge",)),
+    ("solver.tol_policy", "solver.tol_policy", lambda v: v, lambda x: SolverOptions(tol_policy=x),
+     ()),
+    ("solver.tol_value", "solver.tol_value", lambda v: v, lambda x: SolverOptions(tol_value=x), ()),
+    ("exchange.t_left", "exchange.t_left", lambda v: [v, 1.0, 1.0],
+     lambda x: BaselineParams(tuple(x), (1.0,) * 3), ()),
+    ("exchange.t_right", "exchange.t_right", lambda v: [1.0, 1.0, v],
+     lambda x: BaselineParams((1.0,) * 3, tuple(x)), ()),
+    ("time_grid.horizon", "horizon", lambda v: v, lambda x: TimeGrid(x, 10), ()),
+    ("time_grid.step_count", "step_count", lambda v: v, lambda x: TimeGrid(1.0, x), ()),
+    ("spatial_grid.domain", "domain", lambda v: [v, 25.0], lambda x: build_uniform(*x, 5), ()),
+    ("spatial_grid.domain", "domain", lambda v: [0.0, v], lambda x: build_uniform(*x, 5), ()),
+    ("spatial_grid.node_count", "node_count", lambda v: v, lambda x: build_uniform(0.0, 25.0, x),
+     ()),
+    ("initial_density.samples", "initial_density", lambda v: {"samples": [[[v, 0.1]]] * 3},
+     lambda x: InitialDensity(samples=_tables(x["samples"])), ()),
+    ("initial_density.samples", "initial_density", lambda v: {"samples": [[[0.0, v]]] * 3},
+     lambda x: InitialDensity(samples=_tables(x["samples"])), ()),
+]
+BAD_FIELDS += [_bad(field, key, put(v), make, f"{put(name)}")
+               for field, key, put, make, allowed in NUMBERS
+               for name, v in DRIFT.items() if name not in allowed]
 
 
 @pytest.mark.parametrize("field, key, value, make", BAD_FIELDS)
@@ -223,7 +277,9 @@ def test_a_bad_field_is_named_by_its_object_and_by_the_schema(field, key, value,
     assert field in str(lib.value)
     with pytest.raises(ScenarioError) as scn:
         scenario_from_dict(_coarse_with({key: value}))
-    assert any(p.startswith(f"scenario.{key}") for p in scn.value.problems)
+    named = {n.removeprefix("scenario.") for p in scn.value.problems
+             for n in p.partition(": ")[0].split(", ")}
+    assert any(n == key or n.startswith(f"{key}.") for n in named)
 
 
 def test_every_bad_field_of_an_object_is_named():
